@@ -49,7 +49,6 @@ from .fibonacci import (
     PHI,
     THETA0,
     BergReport,
-    BigRational,
     GoldenNumber,
     MomentFunctional,
     NuMomentResult,
@@ -63,7 +62,6 @@ from .fibonacci import (
     fib_classical,
     fib_via_chebyshev,
     filbert_matrix,
-    functional_apply,
     gen_fib,
     is_integer_matrix,
     ismail_fib,
@@ -91,7 +89,6 @@ from .recurrence import (
     FamilySpec,
     ParamSpec,
     QParams,
-    coefficients,
     custom_sequence,
     evaluate_polynomial,
     family_names,
@@ -113,7 +110,6 @@ __all__ = [
     "FamilySpec",
     "little_q_jacobi_monic_coeffs",
     "orthonormalize",
-    "coefficients",
     "evaluate_polynomial",
     "custom_sequence",
     "family_names",
@@ -150,7 +146,6 @@ __all__ = [
     "eigen_residual",
     "uncertainty",
     # fibonacci
-    "BigRational",
     "GoldenNumber",
     "GOLDEN_Q_EXACT",
     "PHI",
@@ -169,7 +164,6 @@ __all__ = [
     "berg_moment",
     "berg_moment_classical",
     "MomentFunctional",
-    "functional_apply",
     "calibrate_affine",
     "BergReport",
     "berg_orthogonality",

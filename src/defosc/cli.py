@@ -5,10 +5,19 @@ Exit codes: 0 all checks passed, 2 invalid input, 3 checks ran but failed
 --output is used, run metadata goes to a `<output>.meta.json` sidecar so the
 payload is byte-identical across reruns of the same configuration.
 
+Every command is one entry of COMMANDS: its options, each declared once with
+name, type, default, choices and help; its CSV header; and a handler that only
+computes.  The parser, the --config merge and the JSON/CSV rendering are all
+driven by that table.
+
 A JSON config file (--config) supplies defaults for any long option of the
-invoked command; explicit flags win.  Family parameter values accept the
-keywords `golden` (the distinguished negative base (1-sqrt5)/(1+sqrt5)),
-`q` (the value given via --q) and `theta0` (asinh(1/2)).
+invoked command; explicit flags win.  A config value is read as the text that
+would follow its flag (a number or true/false as its JSON text, and for `z` a
+list as its items joined by commas), so it passes the same type and choice
+checks as the flag; a value that fails them exits 2 with an error naming the
+key.  Family parameter values accept the keywords `golden` (the distinguished
+negative base (1-sqrt5)/(1+sqrt5)), `q` (the value given via --q) and
+`theta0` (asinh(1/2)).
 """
 
 from __future__ import annotations
@@ -20,22 +29,13 @@ import io
 import json
 import math
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 from . import __version__, classifier, coherent, fibonacci, oscillator, recurrence
 from .errors import DefoscError
 
 __all__ = ["main"]
-
-_SCHEMAS = {
-    "families": "defosc.families.v1",
-    "verify": "defosc.verify.v1",
-    "classify": "defosc.classify.v1",
-    "coherent": "defosc.coherent.v1",
-    "fib-numbers": "defosc.fib-numbers.v1",
-    "fib-ismail": "defosc.fib-ismail.v1",
-    "fib-filbert": "defosc.fib-filbert.v1",
-    "fib-berg": "defosc.fib-berg.v1",
-}
 
 _FAMILY_PARAM_FLAGS = ("a", "b", "q", "alpha", "theta")
 
@@ -77,12 +77,14 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _csv_text(header, rows) -> str:
+def _csv_text(header, rows: list[dict]) -> str:
+    """CSV of dict rows; header columns the rows do not carry are left out."""
+    columns = [h for h in header if not rows or h in rows[0]]
     sio = io.StringIO()
     writer = csv.writer(sio, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(columns)
     for row in rows:
-        writer.writerow([_cell(v) for v in row])
+        writer.writerow([_cell(row[h]) for h in columns])
     return sio.getvalue()
 
 
@@ -107,440 +109,419 @@ def _fail(message: str) -> int:
     return 2
 
 
-# -- config merging ------------------------------------------------------------
+# -- options and config merging --------------------------------------------------
 
 
-def _effective(ns: argparse.Namespace, defaults: dict) -> dict:
+def _switch(text: str) -> bool:
+    """Type of an on/off flag; a config file gives it as true or false."""
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
+@dataclass(frozen=True)
+class Option:
+    """One long option: flag `--name` (underscores as dashes) and config key `name`."""
+
+    name: str
+    type: Callable[[str], object] = str
+    default: object = None
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+    check: Callable[[object], None] | None = None  # range check of the merged value
+    many: bool = False  # comma-separated list; a config file may give a JSON list
+
+
+def _flag_text(value, many: bool) -> str:
+    """The command-line text a JSON config value stands for."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, int, float)):
+        return json.dumps(value)
+    if many and isinstance(value, list):
+        return ",".join(_flag_text(v, False) for v in value)
+    raise TypeError(value)
+
+
+def _from_config(opt: Option, value):
+    """Check a config value with the type and choices of its flag."""
+    try:
+        parsed = opt.type(_flag_text(value, opt.many))
+    except (TypeError, ValueError):
+        raise DefoscError(f"config key {opt.name!r}: invalid value: {json.dumps(value)}") from None
+    if opt.choices and parsed not in opt.choices:
+        raise DefoscError(
+            f"config key {opt.name!r}: invalid choice: {json.dumps(value)} "
+            f"(choose from {', '.join(opt.choices)})"
+        )
+    return parsed
+
+
+def _effective(ns: argparse.Namespace, options: tuple[Option, ...]) -> dict:
     """Merge CLI flags over config-file values over built-in defaults."""
     config = {}
-    if getattr(ns, "config", None):
+    if ns.config:
         with open(ns.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise DefoscError("config file must hold a JSON object")
-        unknown = set(config) - set(defaults)
+        unknown = set(config) - {opt.name for opt in options}
         if unknown:
             raise DefoscError(
                 f"config keys {sorted(unknown)} are not options of this command"
             )
-    out = {}
-    for key, default in defaults.items():
-        cli_value = getattr(ns, key, None)
-        if cli_value is not None:
-            out[key] = cli_value
-        elif key in config:
-            out[key] = config[key]
-        else:
-            out[key] = default
-    return out
-
-
-def _param_value(raw, q_value: float | None, flag: str) -> float:
-    if isinstance(raw, str):
-        if raw == "golden":
-            return recurrence.GOLDEN_Q
-        if raw == "theta0":
-            return fibonacci.THETA0
-        if raw == "q":
-            if q_value is None:
-                raise DefoscError(f"--{flag} q needs an explicit --q value")
-            return q_value
-        return float(raw)
-    return float(raw)
-
-
-def _resolve_sequence(eff: dict) -> recurrence.CoefficientSequence:
-    name = eff.get("family")
-    if not name:
-        raise DefoscError("--family is required")
-    params: dict[str, float] = {}
-    raw_q = eff.get("q")
-    if raw_q is not None:
-        params["q"] = _param_value(raw_q, None, "q")
-    for flag in _FAMILY_PARAM_FLAGS:
-        if flag == "q":
-            continue
-        raw = eff.get(flag)
-        if raw is not None:
-            params[flag] = _param_value(raw, params.get("q"), flag)
-    return recurrence.make_sequence(name, params)
-
-
-# -- commands ------------------------------------------------------------------
-
-
-def _cmd_families(ns) -> tuple[int, str, dict]:
-    eff = _effective(ns, {"format": "json", "output": None})
-    entries = []
-    for name in recurrence.family_names():
-        spec = recurrence.get_family(name)
-        entries.append(
-            {
-                "name": spec.name,
-                "symmetric": spec.symmetric,
-                "description": spec.description,
-                "params": [
-                    {
-                        "name": p.name,
-                        "default": p.default,
-                        "minimum": p.minimum,
-                        "maximum": p.maximum,
-                        "required": p.required,
-                        "description": p.description,
-                    }
-                    for p in spec.params
-                ],
-            }
-        )
-    if eff["format"] == "csv":
-        rows = []
-        for e in entries:
-            if not e["params"]:
-                rows.append((e["name"], e["symmetric"], "", "", "", "", "", e["description"]))
-            for p in e["params"]:
-                rows.append(
-                    (
-                        e["name"],
-                        e["symmetric"],
-                        p["name"],
-                        p["default"],
-                        p["minimum"],
-                        p["maximum"],
-                        p["required"],
-                        p["description"],
-                    )
-                )
-        text = _csv_text(
-            ("family", "symmetric", "param", "default", "minimum", "maximum", "required", "description"),
-            rows,
-        )
-    else:
-        text = _json_text({"schema": _SCHEMAS["families"], "families": entries})
-    return 0, text, eff
-
-
-_VERIFY_DEFAULTS = {
-    "family": None,
-    "a": None,
-    "b": None,
-    "q": None,
-    "alpha": None,
-    "theta": None,
-    "dim": 64,
-    "tol": 1e-10,
-    "format": "json",
-    "output": None,
-    "dump_operators": False,
-}
-
-
-def _cmd_verify(ns) -> tuple[int, str, dict]:
-    eff = _effective(ns, _VERIFY_DEFAULTS)
-    seq = _resolve_sequence(eff)
-    dim = int(eff["dim"])
-    tol = float(eff["tol"])
-    report = oscillator.verify_algebra(seq, dim, tol)
-    if eff["format"] == "csv":
-        rows = [
-            (r.name, r.interior_residual, r.boundary_residual, r.passed)
-            for r in report.relations
-        ]
-        text = _csv_text(("relation", "interior_residual", "boundary_residual", "passed"), rows)
-    else:
-        payload = {"schema": _SCHEMAS["verify"], "params": seq.params}
-        payload.update(report.to_dict())
-        if eff["dump_operators"]:
-            ops = oscillator.build_operators(seq, dim)
-            payload["operators"] = {
-                "x": oscillator.matrix_to_json(ops.x),
-                "p": oscillator.matrix_to_json(ops.p),
-                "a_plus": oscillator.matrix_to_json(ops.a_plus),
-                "a_minus": oscillator.matrix_to_json(ops.a_minus),
-                "n": oscillator.matrix_to_json(ops.n_op),
-                "b": oscillator.matrix_to_json(ops.b_op),
-                "h": oscillator.matrix_to_json(ops.hamiltonian),
-            }
-        text = _json_text(payload)
-    return (0 if report.passed else 3), text, eff
-
-
-_CLASSIFY_DEFAULTS = {
-    "family": None,
-    "a": None,
-    "b": None,
-    "q": None,
-    "alpha": None,
-    "theta": None,
-    "nmax": 64,
-    "tol": 1e-9,
-    "jmax": 2,
-    "format": "json",
-    "output": None,
-}
-
-
-def _cmd_classify(ns) -> tuple[int, str, dict]:
-    eff = _effective(ns, _CLASSIFY_DEFAULTS)
-    seq = _resolve_sequence(eff)
-    n_max = int(eff["nmax"])
-    tol = float(eff["tol"])
-    if eff["format"] == "csv":
-        table = classifier.difference_table(seq, n_max, int(eff["jmax"]))
-        text = _csv_text(("j", "n", "value"), table.csv_rows())
-    else:
-        result = classifier.classify(seq, n_max, tol)
-        text = _json_text(
-            {
-                "schema": _SCHEMAS["classify"],
-                "family": seq.family_id,
-                "params": seq.params,
-                "result": result.to_dict(),
-            }
-        )
-    return 0, text, eff
-
-
-_COHERENT_DEFAULTS = {
-    "family": None,
-    "a": None,
-    "b": None,
-    "q": None,
-    "alpha": None,
-    "theta": None,
-    "dim": 64,
-    "tol": 1e-8,
-    "z": None,
-    "format": "csv",
-    "output": None,
-}
-
-
-def _cmd_coherent(ns) -> tuple[int, str, dict]:
-    eff = _effective(ns, _COHERENT_DEFAULTS)
-    seq = _resolve_sequence(eff)
-    dim = int(eff["dim"])
-    tol = float(eff["tol"])
-    raw_z = eff["z"]
-    if raw_z is None:
-        raise DefoscError("--z is required (comma-separated list, e.g. 0,0.5,1)")
-    if isinstance(raw_z, str):
-        z_list = [complex(part.strip()) for part in raw_z.split(",") if part.strip()]
-    else:
-        z_list = [complex(v) for v in raw_z]
-    if not z_list:
-        raise DefoscError("z grid is empty")
-
-    rows = []
-    states = []
-    any_flagged = False
-    for z in z_list:
-        state = coherent.make_state(seq, z, dim, tol, strict=False)
-        residual = coherent.eigen_residual(state, seq)
-        d_x, d_p, bound = coherent.uncertainty(state, seq)
-        flagged = state.convergent and state.tail_bound > tol
-        any_flagged = any_flagged or flagged
-        rows.append(
-            (
-                z,
-                state.norm_constant,
-                state.log_norm_constant,
-                residual,
-                d_x * d_p,
-                bound,
-                state.convergent,
-                not flagged,
-            )
-        )
-        entry = coherent.state_to_dict(state, residual)
-        entry.update({"dx_dp": d_x * d_p, "bound": bound, "truncation_ok": not flagged})
-        states.append(entry)
-
-    if eff["format"] == "json":
-        text = _json_text(
-            {
-                "schema": _SCHEMAS["coherent"],
-                "family": seq.family_id,
-                "params": seq.params,
-                "dim": dim,
-                "tolerance": tol,
-                "states": states,
-            }
-        )
-    else:
-        text = _csv_text(
-            (
-                "z",
-                "norm_constant",
-                "log_norm_constant",
-                "residual",
-                "dx_dp",
-                "bound",
-                "convergent",
-                "truncation_ok",
-            ),
-            rows,
-        )
-    return (3 if any_flagged else 0), text, eff
+    eff = {}
+    for opt in options:
+        value = getattr(ns, opt.name)
+        if value is None and opt.name in config:
+            value = _from_config(opt, config[opt.name])
+        eff[opt.name] = opt.default if value is None else value
+        if opt.check is not None:
+            opt.check(eff[opt.name])
+    return eff
 
 
 _EXACT_LIMIT = 64  # largest n accepted for exact big-integer work in the CLI
 
 
-def _cmd_fib(ns) -> tuple[int, str, dict]:
-    sub = ns.subaction
-    if sub == "numbers":
-        eff = _effective(ns, {"n": 10, "format": "json", "output": None})
-        n = int(eff["n"])
-        if n < 0:
-            raise DefoscError(f"n must be >= 0, got {n}")
+def _exact_n(low: int) -> Callable[[int], None]:
+    def check(n: int) -> None:
+        if n < low:
+            raise DefoscError(f"n must be >= {low}, got {n}")
         if n > _EXACT_LIMIT:
             raise DefoscError(f"n must be <= {_EXACT_LIMIT} for exact mode, got {n}")
-        sequence = [fibonacci.fib(k) for k in range(n + 1)]
-        iterative_match = all(
-            fibonacci.fib_iterative(k) == sequence[k] for k in range(n + 1)
-        )
-        chebyshev_match = all(
-            fibonacci.fib_via_chebyshev(k) == sequence[k] for k in range(min(n, 20) + 1)
-        )
-        passed = iterative_match and chebyshev_match
-        payload = {
-            "schema": _SCHEMAS["fib-numbers"],
-            "n": n,
-            "value": sequence[-1],
-            "sequence": sequence,
-            "iterative_match": iterative_match,
-            "chebyshev_match": chebyshev_match,
-            "passed": passed,
-        }
-        if eff["format"] == "csv":
-            text = _csv_text(("n", "value"), list(enumerate(sequence)))
-        else:
-            text = _json_text(payload)
-        return (0 if passed else 3), text, eff
 
-    if sub == "ismail":
-        eff = _effective(
-            ns, {"theta": "theta0", "n": 30, "tol": 1e-12, "format": "json", "output": None}
-        )
-        theta = _param_value(eff["theta"], None, "theta")
-        n = int(eff["n"])
-        tol = float(eff["tol"])
-        if not (1 <= n <= 200):
-            raise DefoscError(f"n must be in 1..200, got {n}")
-        at_theta0 = theta == fibonacci.THETA0
-        rows = []
-        max_rel = 0.0
-        integer_ok = True
-        for k in range(1, n + 1):
-            closed, rec = fibonacci.ismail_fib_values(theta, k)
-            rel = abs(closed - rec) / max(1.0, abs(closed))
-            max_rel = max(max_rel, rel)
-            entry = {"n": k, "closed_form": closed, "recurrence": rec, "rel_diff": rel}
-            if at_theta0:
-                target = float(fibonacci.fib(k - 1))
-                fib_rel = abs(closed - target) / target
-                integer_ok = integer_ok and fib_rel <= tol
-                entry["fib_value"] = fibonacci.fib(k - 1)
-                entry["fib_rel_diff"] = fib_rel
-            rows.append(entry)
-        passed = max_rel <= tol and integer_ok
-        if eff["format"] == "csv":
-            header = ["n", "closed_form", "recurrence", "rel_diff"]
-            if at_theta0:
-                header += ["fib_value", "fib_rel_diff"]
-            text = _csv_text(header, [[r.get(h) for h in header] for r in rows])
-        else:
-            text = _json_text(
-                {
-                    "schema": _SCHEMAS["fib-ismail"],
-                    "theta": theta,
-                    "n": n,
-                    "tolerance": tol,
-                    "at_theta0": at_theta0,
-                    "rows": rows,
-                    "max_rel_diff": max_rel,
-                    "passed": passed,
-                }
-            )
-        return (0 if passed else 3), text, eff
-
-    if sub == "filbert":
-        eff = _effective(ns, {"n": 8, "format": "json", "output": None})
-        n = int(eff["n"])
-        if n < 1:
-            raise DefoscError(f"n must be >= 1, got {n}")
-        if n > _EXACT_LIMIT:
-            raise DefoscError(f"n must be <= {_EXACT_LIMIT} for exact mode, got {n}")
-        rows = []
-        all_ok = True
-        for k in range(1, n + 1):
-            matrix = fibonacci.filbert_matrix(k)
-            inverse = fibonacci.exact_inverse(matrix)
-            integer = fibonacci.is_integer_matrix(inverse)
-            product = fibonacci.exact_matmul(matrix, inverse)
-            identity = all(
-                product[i][j] == (1 if i == j else 0)
-                for i in range(k)
-                for j in range(k)
-            )
-            all_ok = all_ok and integer and identity
-            rows.append(
-                {"n": k, "integer_inverse": integer, "product_is_identity": identity}
-            )
-        if eff["format"] == "csv":
-            text = _csv_text(
-                ("n", "integer_inverse", "product_is_identity"),
-                [(r["n"], r["integer_inverse"], r["product_is_identity"]) for r in rows],
-            )
-        else:
-            text = _json_text(
-                {
-                    "schema": _SCHEMAS["fib-filbert"],
-                    "n": n,
-                    "rows": rows,
-                    "integer_inverse": all_ok,
-                    "passed": all_ok,
-                }
-            )
-        return (0 if all_ok else 3), text, eff
-
-    if sub == "berg":
-        eff = _effective(ns, {"nmax": 6, "tol": 1e-8, "format": "json", "output": None})
-        n_max = int(eff["nmax"])
-        tol = float(eff["tol"])
-        report = fibonacci.berg_orthogonality(n_max)
-        passed = report.passes(tol)
-        if eff["format"] == "csv":
-            rows = []
-            for m, row in enumerate(report.normalized_off_diagonal):
-                for offset, value in enumerate(row):
-                    rows.append((m, m + 1 + offset, value))
-            text = _csv_text(("m", "n", "normalized_gram"), rows)
-        else:
-            payload = {"schema": _SCHEMAS["fib-berg"], "tolerance": tol, "passed": passed}
-            payload.update(report.to_dict())
-            text = _json_text(payload)
-        return (0 if passed else 3), text, eff
-
-    raise DefoscError(f"unknown fib subaction {sub!r}")  # unreachable via argparse
+    return check
 
 
-# -- parser --------------------------------------------------------------------
+def _ismail_n(n: int) -> None:
+    if not (1 <= n <= 200):
+        raise DefoscError(f"n must be in 1..200, got {n}")
 
 
-def _add_family_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", help="registered family name (see `defosc families`)")
+def _param_value(raw: str, q_value: float | None, flag: str) -> float:
+    if raw == "golden":
+        return recurrence.GOLDEN_Q
+    if raw == "theta0":
+        return fibonacci.THETA0
+    if raw == "q":
+        if q_value is None:
+            raise DefoscError(f"--{flag} q needs an explicit --q value")
+        return q_value
+    return float(raw)
+
+
+def _resolve_sequence(eff: dict) -> recurrence.CoefficientSequence:
+    name = eff["family"]
+    if not name:
+        raise DefoscError("--family is required")
+    params: dict[str, float] = {}
+    if eff["q"] is not None:
+        params["q"] = _param_value(eff["q"], None, "q")
     for flag in _FAMILY_PARAM_FLAGS:
-        p.add_argument(
-            f"--{flag}",
-            help=f"family parameter {flag} (number or keyword golden/q/theta0)",
+        if flag != "q" and eff[flag] is not None:
+            params[flag] = _param_value(eff[flag], params.get("q"), flag)
+    return recurrence.make_sequence(name, params)
+
+
+def _z_grid(raw: str | None) -> list[complex]:
+    if raw is None:
+        raise DefoscError("--z is required (comma-separated list, e.g. 0,0.5,1)")
+    z_list = [complex(part.strip()) for part in raw.split(",") if part.strip()]
+    if not z_list:
+        raise DefoscError("z grid is empty")
+    return z_list
+
+
+# -- handlers: each returns (exit code, JSON payload, CSV rows) ----------------------
+
+
+def _families(eff):
+    entries = []
+    rows = []
+    for name in recurrence.family_names():
+        spec = recurrence.get_family(name)
+        params = [
+            {
+                "name": p.name,
+                "default": p.default,
+                "minimum": p.minimum,
+                "maximum": p.maximum,
+                "required": p.required,
+                "description": p.description,
+            }
+            for p in spec.params
+        ]
+        entries.append(
+            {
+                "name": spec.name,
+                "symmetric": spec.symmetric,
+                "description": spec.description,
+                "params": params,
+            }
         )
+        blank = dict.fromkeys(("name", "default", "minimum", "maximum", "required"), "")
+        for p in params or [{**blank, "description": spec.description}]:
+            rows.append({"family": spec.name, "symmetric": spec.symmetric, "param": p["name"], **p})
+    return 0, {"families": entries}, rows
 
 
-def _add_output_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "csv"))
-    p.add_argument("--output", help="payload file; metadata goes to <output>.meta.json")
-    p.add_argument("--config", help="JSON file with defaults for this command")
+def _verify(eff):
+    seq = _resolve_sequence(eff)
+    report = oscillator.verify_algebra(seq, eff["dim"], eff["tol"])
+    payload = {"params": seq.params, **report.to_dict()}
+    if eff["dump_operators"] and eff["format"] == "json":
+        ops = oscillator.build_operators(seq, eff["dim"])
+        payload["operators"] = {
+            "x": oscillator.matrix_to_json(ops.x),
+            "p": oscillator.matrix_to_json(ops.p),
+            "a_plus": oscillator.matrix_to_json(ops.a_plus),
+            "a_minus": oscillator.matrix_to_json(ops.a_minus),
+            "n": oscillator.matrix_to_json(ops.n_op),
+            "b": oscillator.matrix_to_json(ops.b_op),
+            "h": oscillator.matrix_to_json(ops.hamiltonian),
+        }
+    rows = [{"relation": r["name"], **r} for r in payload["relations"]]
+    return (0 if report.passed else 3), payload, rows
+
+
+def _classify(eff):
+    # the two formats are two computations: the verdict, or the difference table
+    seq = _resolve_sequence(eff)
+    if eff["format"] == "csv":
+        table = classifier.difference_table(seq, eff["nmax"], eff["jmax"])
+        return 0, None, [{"j": j, "n": n, "value": v} for j, n, v in table.csv_rows()]
+    result = classifier.classify(seq, eff["nmax"], eff["tol"])
+    return 0, {"family": seq.family_id, "params": seq.params, "result": result.to_dict()}, None
+
+
+def _coherent(eff):
+    seq = _resolve_sequence(eff)
+    z_list = _z_grid(eff["z"])
+    dim, tol = eff["dim"], eff["tol"]
+    rows = []
+    states = []
+    for z in z_list:
+        state = coherent.make_state(seq, z, dim, tol, strict=False)
+        residual = coherent.eigen_residual(state, seq)
+        d_x, d_p, bound = coherent.uncertainty(state, seq)
+        flagged = state.convergent and state.tail_bound > tol
+        checks = {"dx_dp": d_x * d_p, "bound": bound, "truncation_ok": not flagged}
+        rows.append(
+            {
+                "z": z,
+                "norm_constant": state.norm_constant,
+                "log_norm_constant": state.log_norm_constant,
+                "residual": residual,
+                "convergent": state.convergent,
+                **checks,
+            }
+        )
+        states.append({**coherent.state_to_dict(state, residual), **checks})
+    payload = {
+        "family": seq.family_id,
+        "params": seq.params,
+        "dim": dim,
+        "tolerance": tol,
+        "states": states,
+    }
+    return (0 if all(r["truncation_ok"] for r in rows) else 3), payload, rows
+
+
+def _fib_numbers(eff):
+    n = eff["n"]
+    sequence = [fibonacci.fib(k) for k in range(n + 1)]
+    iterative_match = all(fibonacci.fib_iterative(k) == sequence[k] for k in range(n + 1))
+    chebyshev_match = all(
+        fibonacci.fib_via_chebyshev(k) == sequence[k] for k in range(min(n, 20) + 1)
+    )
+    passed = iterative_match and chebyshev_match
+    payload = {
+        "n": n,
+        "value": sequence[-1],
+        "sequence": sequence,
+        "iterative_match": iterative_match,
+        "chebyshev_match": chebyshev_match,
+        "passed": passed,
+    }
+    return (0 if passed else 3), payload, [{"n": k, "value": v} for k, v in enumerate(sequence)]
+
+
+def _fib_ismail(eff):
+    theta = _param_value(eff["theta"], None, "theta")
+    n, tol = eff["n"], eff["tol"]
+    at_theta0 = theta == fibonacci.THETA0
+    rows = []
+    max_rel = 0.0
+    integer_ok = True
+    for k in range(1, n + 1):
+        closed, rec = fibonacci.ismail_fib_values(theta, k)
+        rel = abs(closed - rec) / max(1.0, abs(closed))
+        max_rel = max(max_rel, rel)
+        entry = {"n": k, "closed_form": closed, "recurrence": rec, "rel_diff": rel}
+        if at_theta0:
+            target = fibonacci.fib(k - 1)
+            fib_rel = abs(closed - float(target)) / float(target)
+            integer_ok = integer_ok and fib_rel <= tol
+            entry["fib_value"] = target
+            entry["fib_rel_diff"] = fib_rel
+        rows.append(entry)
+    passed = max_rel <= tol and integer_ok
+    payload = {
+        "theta": theta,
+        "n": n,
+        "tolerance": tol,
+        "at_theta0": at_theta0,
+        "rows": rows,
+        "max_rel_diff": max_rel,
+        "passed": passed,
+    }
+    return (0 if passed else 3), payload, rows
+
+
+def _fib_filbert(eff):
+    rows = []
+    for k in range(1, eff["n"] + 1):
+        matrix = fibonacci.filbert_matrix(k)
+        inverse = fibonacci.exact_inverse(matrix)
+        product = fibonacci.exact_matmul(matrix, inverse)
+        identity = all(
+            product[i][j] == (1 if i == j else 0) for i in range(k) for j in range(k)
+        )
+        rows.append(
+            {
+                "n": k,
+                "integer_inverse": fibonacci.is_integer_matrix(inverse),
+                "product_is_identity": identity,
+            }
+        )
+    all_ok = all(r["integer_inverse"] and r["product_is_identity"] for r in rows)
+    payload = {"n": eff["n"], "rows": rows, "integer_inverse": all_ok, "passed": all_ok}
+    return (0 if all_ok else 3), payload, rows
+
+
+def _fib_berg(eff):
+    report = fibonacci.berg_orthogonality(eff["nmax"])
+    passed = report.passes(eff["tol"])
+    rows = [
+        {"m": m, "n": m + 1 + offset, "normalized_gram": value}
+        for m, row in enumerate(report.normalized_off_diagonal)
+        for offset, value in enumerate(row)
+    ]
+    payload = {"tolerance": eff["tol"], "passed": passed, **report.to_dict()}
+    return (0 if passed else 3), payload, rows
+
+
+# -- command table -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand; its key in COMMANDS is the schema name `defosc.<key>.v1`."""
+
+    help: str
+    options: tuple[Option, ...]
+    header: tuple[str, ...]  # CSV columns
+    handler: Callable[[dict], tuple[int, dict | None, list[dict] | None]]
+
+
+_FAMILY_OPTIONS = (
+    Option("family", help="registered family name (see `defosc families`)"),
+    *(
+        Option(flag, help=f"family parameter {flag} (number or keyword golden/q/theta0)")
+        for flag in _FAMILY_PARAM_FLAGS
+    ),
+)
+
+
+def _output_options(fmt: str = "json") -> tuple[Option, ...]:
+    return (
+        Option("format", default=fmt, choices=("json", "csv"), help=f"payload format (default {fmt})"),
+        Option("output", help="payload file; metadata goes to <output>.meta.json"),
+    )
+
+
+COMMANDS: dict[str, Command] = {
+    "families": Command(
+        "list registered families and their parameters",
+        _output_options(),
+        ("family", "symmetric", "param", "default", "minimum", "maximum", "required", "description"),
+        _families,
+    ),
+    "verify": Command(
+        "check the oscillator algebra relations",
+        (
+            *_FAMILY_OPTIONS,
+            Option("dim", int, 64, "truncation dimension"),
+            Option("tol", float, 1e-10, "interior residual tolerance"),
+            Option("dump_operators", _switch, False, "add the dense operators to the JSON payload"),
+            *_output_options(),
+        ),
+        ("relation", "interior_residual", "boundary_residual", "passed"),
+        _verify,
+    ),
+    "classify": Command(
+        "finite (dim 4) vs infinite algebra dimension",
+        (
+            *_FAMILY_OPTIONS,
+            Option("nmax", int, 64, "number of coefficients examined"),
+            Option("tol", float, 1e-9, "fit tolerance"),
+            Option("jmax", int, 2, "difference-table depth for CSV output"),
+            *_output_options(),
+        ),
+        ("j", "n", "value"),
+        _classify,
+    ),
+    "coherent": Command(
+        "annihilation-eigenstate scan over a z grid",
+        (
+            *_FAMILY_OPTIONS,
+            Option("z", help="comma-separated complex grid, e.g. 0,0.5,0.3+0.1j", many=True),
+            Option("dim", int, 64, "truncation dimension"),
+            Option("tol", float, 1e-8, "truncation tail tolerance"),
+            *_output_options("csv"),
+        ),
+        ("z", "norm_constant", "log_norm_constant", "residual", "dx_dp", "bound", "convergent",
+         "truncation_ok"),
+        _coherent,
+    ),
+    "fib-numbers": Command(
+        "integer sequence and identity checks",
+        (Option("n", int, 10, "largest index", check=_exact_n(0)), *_output_options()),
+        ("n", "value"),
+        _fib_numbers,
+    ),
+    "fib-ismail": Command(
+        "theta-deformed numbers: closed form vs recurrence",
+        (
+            Option("theta", default="theta0", help="deformation parameter (number or theta0)"),
+            Option("n", int, 30, "largest index", check=_ismail_n),
+            Option("tol", float, 1e-12, "relative tolerance"),
+            *_output_options(),
+        ),
+        ("n", "closed_form", "recurrence", "rel_diff", "fib_value", "fib_rel_diff"),
+        _fib_ismail,
+    ),
+    "fib-filbert": Command(
+        "exact reciprocal-Fibonacci matrix inversion",
+        (Option("n", int, 8, "largest matrix size", check=_exact_n(1)), *_output_options()),
+        ("n", "integer_inverse", "product_is_identity"),
+        _fib_filbert,
+    ),
+    "fib-berg": Command(
+        "moment-functional orthogonality table",
+        (
+            Option("nmax", int, 6, "largest polynomial degree"),
+            Option("tol", float, 1e-8, "off-diagonal tolerance"),
+            *_output_options(),
+        ),
+        ("m", "n", "normalized_gram"),
+        _fib_berg,
+    ),
+}
+
+
+# -- parser and entry point ------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -550,74 +531,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"defosc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("families", help="list registered families and their parameters")
-    _add_output_options(p)
-
-    p = sub.add_parser("verify", help="check the oscillator algebra relations")
-    _add_family_options(p)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--dump-operators", dest="dump_operators", action="store_true", default=None)
-    _add_output_options(p)
-
-    p = sub.add_parser("classify", help="finite (dim 4) vs infinite algebra dimension")
-    _add_family_options(p)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--jmax", type=int, help="difference-table depth for CSV output")
-    _add_output_options(p)
-
-    p = sub.add_parser("coherent", help="annihilation-eigenstate scan over a z grid")
-    _add_family_options(p)
-    p.add_argument("--z", help="comma-separated complex grid, e.g. 0,0.5,0.3+0.1j")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--tol", type=float)
-    _add_output_options(p)
-
-    p = sub.add_parser("fib", help="Fibonacci suites: numbers, ismail, filbert, berg")
-    fib_sub = p.add_subparsers(dest="subaction", required=True)
-
-    q = fib_sub.add_parser("numbers", help="integer sequence and identity checks")
-    q.add_argument("--n", type=int)
-    _add_output_options(q)
-
-    q = fib_sub.add_parser("ismail", help="theta-deformed numbers: closed form vs recurrence")
-    q.add_argument("--theta", help="deformation parameter (number or theta0)")
-    q.add_argument("--n", type=int)
-    q.add_argument("--tol", type=float)
-    _add_output_options(q)
-
-    q = fib_sub.add_parser("filbert", help="exact reciprocal-Fibonacci matrix inversion")
-    q.add_argument("--n", type=int)
-    _add_output_options(q)
-
-    q = fib_sub.add_parser("berg", help="moment-functional orthogonality table")
-    q.add_argument("--nmax", type=int)
-    q.add_argument("--tol", type=float)
-    _add_output_options(q)
-
+    fib = None
+    for name, command in COMMANDS.items():
+        if name.startswith("fib-"):
+            if fib is None:
+                fib = sub.add_parser("fib", help="Fibonacci suites: numbers, ismail, filbert, berg")
+                fib = fib.add_subparsers(dest="subaction", required=True)
+            p = fib.add_parser(name.removeprefix("fib-"), help=command.help)
+        else:
+            p = sub.add_parser(name, help=command.help)
+        p.set_defaults(schema=name)
+        for opt in command.options:
+            flag = "--" + opt.name.replace("_", "-")
+            if opt.type is _switch:
+                p.add_argument(flag, dest=opt.name, action="store_true", default=None, help=opt.help)
+            else:
+                p.add_argument(flag, dest=opt.name, type=opt.type, choices=opt.choices, help=opt.help)
+        p.add_argument("--config", help="JSON file with defaults for this command")
     return parser
-
-
-_HANDLERS = {
-    "families": _cmd_families,
-    "verify": _cmd_verify,
-    "classify": _cmd_classify,
-    "coherent": _cmd_coherent,
-    "fib": _cmd_fib,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    ns = parser.parse_args(args)
+    ns = build_parser().parse_args(args)
+    command = COMMANDS[ns.schema]
     try:
-        code, text, eff = _HANDLERS[ns.command](ns)
-    except (DefoscError, ValueError, OSError, json.JSONDecodeError) as exc:
+        eff = _effective(ns, command.options)
+        code, payload, rows = command.handler(eff)
+        if eff["format"] == "csv":
+            text = _csv_text(command.header, rows)
+        else:
+            text = _json_text({"schema": f"defosc.{ns.schema}.v1", **payload})
+        _emit(text, eff["output"], ["defosc", *args])
+    except (DefoscError, ValueError, OSError) as exc:
         return _fail(str(exc))
-    _emit(text, eff.get("output"), ["defosc", *args])
     return code
 
 

@@ -26,6 +26,7 @@ from typing import Sequence
 
 import mpmath
 
+from . import qseries, recurrence
 from .errors import (
     CalibrationError,
     InsufficientMomentsError,
@@ -35,7 +36,6 @@ from .errors import (
 )
 
 __all__ = [
-    "BigRational",
     "GoldenNumber",
     "GOLDEN_Q_EXACT",
     "PHI",
@@ -56,15 +56,10 @@ __all__ = [
     "berg_moment",
     "berg_moment_classical",
     "MomentFunctional",
-    "functional_apply",
     "calibrate_affine",
     "BergReport",
     "berg_orthogonality",
 ]
-
-# Exact rational carrier.  fractions.Fraction already keeps gcd-reduced
-# numerator / positive denominator, which is the whole contract.
-BigRational = Fraction
 
 # sinh(THETA0) = 1/2; at this point the deformed Fibonacci sequence becomes
 # the integer one and -exp(-2*THETA0) is the golden deformation base.
@@ -268,19 +263,25 @@ def ismail_fib(theta: float, n: int) -> float:
     return closed
 
 
-def fib_via_chebyshev(n: int) -> int:
-    """fib(n) through the Chebyshev-U recurrence at the imaginary point i/2.
+_CHEBYSHEV_MAX_N = 77  # fib(78) >= 2**53: past it the float carrier rounds
 
-    V_k := (-i)^k U_k(i/2) turns U_{k+1} = 2x U_k - U_{k-1} into the integer
-    recurrence V_{k+1} = V_k + V_{k-1} with V_0 = V_1 = 1, so the sign factor
-    is absorbed exactly and no complex arithmetic is needed.
+
+def fib_via_chebyshev(n: int) -> int:
+    """fib(n) = (-i)^n U_n(i/2), evaluated by the chebyshev-u family's recurrence.
+
+    The orthonormal polynomials of the chebyshev-u family (b_n = 1/2) are the
+    U_n, and U_n(i/2) = i^n fib(n).  Every intermediate of the complex
+    recurrence is a Gaussian integer or half-integer, so the float arithmetic
+    is exact while fib(n) < 2**53, that is for n <= 77; larger n is rejected.
     """
     if n < 0:
         raise ParameterDomainError(f"n must be >= 0, got {n}")
-    prev, cur = 1, 1
-    for _ in range(max(0, n - 1)):
-        prev, cur = cur, cur + prev
-    return cur if n >= 1 else prev
+    if n > _CHEBYSHEV_MAX_N:
+        raise ParameterDomainError(
+            f"n must be <= {_CHEBYSHEV_MAX_N} for the exact Chebyshev route, got {n}"
+        )
+    seq = recurrence.make_sequence("chebyshev-u")
+    return int(((-1j) ** n * recurrence.evaluate_polynomial(seq, n, 0.5j)).real)
 
 
 # -- nu-measure moments --------------------------------------------------------
@@ -530,11 +531,6 @@ class MomentFunctional:
         return MomentFunctional(out)
 
 
-def functional_apply(functional: MomentFunctional, p1: Sequence, p2: Sequence):
-    """L(p1 * p2); thin alias kept for API symmetry."""
-    return functional.apply(p1, p2)
-
-
 def _sqrt(x):
     if isinstance(x, mpmath.mpf):
         return mpmath.sqrt(x)
@@ -573,36 +569,6 @@ def calibrate_affine(
     alpha = _sqrt(alpha_sq)
     beta = (u - alpha * mu1) / mu0
     return alpha, beta
-
-
-def _q_pochhammer_generic(a, q, n: int):
-    out = 1
-    power = 1
-    for _ in range(n):
-        out = out * (1 - a * power)
-        power = power * q
-    return out
-
-
-def _little_q_jacobi_coeffs(n: int, a, b, q) -> list:
-    """Ascending coefficients of p_n(x): p_n(0) = 1 normalization.
-
-    coeff_j = qbinom(n, j) (a b q^{n+1}; q)_j / (a q; q)_j
-              * q^{j(j+1)/2 - n j} (-1)^j
-    in whatever numeric carrier a, b, q are supplied in.
-    """
-    qq_n = _q_pochhammer_generic(q, q, n)
-    coeffs = []
-    for j in range(n + 1):
-        qq_j = _q_pochhammer_generic(q, q, j)
-        qq_nj = _q_pochhammer_generic(q, q, n - j)
-        binom = qq_n / (qq_j * qq_nj)
-        num = _q_pochhammer_generic(a * b * q ** (n + 1), q, j)
-        den = _q_pochhammer_generic(a * q, q, j)
-        if den == 0:
-            raise CalibrationError(f"(aq;q)_{j} vanishes: polynomial undefined")
-        coeffs.append(binom * num / den * q ** (j * (j + 1) // 2 - n * j) * (-1) ** j)
-    return coeffs
 
 
 @dataclass(frozen=True)
@@ -684,7 +650,7 @@ def berg_orthogonality(
             for k in range(2 * n_max + 1)
         ]
         base = MomentFunctional(moments)
-        polys = [_little_q_jacobi_coeffs(n, q, 1, q) for n in range(n_max + 1)]
+        polys = [qseries.little_q_jacobi_coeffs(n, q, 1, q) for n in range(n_max + 1)]
         alpha, beta = calibrate_affine(base, polys[1], polys[2])
         cal = base.affine(alpha, beta)
 

@@ -15,6 +15,7 @@ from .errors import DegenerateParameterError, DivergenceError, ParameterDomainEr
 __all__ = [
     "q_pochhammer",
     "multi_pochhammer",
+    "little_q_jacobi_coeffs",
     "little_q_jacobi",
     "HyperSeriesSpec",
     "HyperSeriesResult",
@@ -28,7 +29,11 @@ _INF_MAX_TERMS = 100_000
 
 
 def q_pochhammer(a: float, q: float, n: int | float | None) -> float:
-    """(a; q)_n = prod_{k<n} (1 - a q^k); n = None or math.inf gives the full product."""
+    """(a; q)_n = prod_{k<n} (1 - a q^k); n = None or math.inf gives the full product.
+
+    The finite product stays in the numeric carrier of a and q (float,
+    Fraction or an mpmath float); the full product is computed in floats.
+    """
     if n is None or n == math.inf:
         if not (0.0 < abs(q) < 1.0):
             raise ParameterDomainError(
@@ -44,9 +49,11 @@ def q_pochhammer(a: float, q: float, n: int | float | None) -> float:
         return result
     if not isinstance(n, int) or n < 0:
         raise ParameterDomainError(f"n must be a nonnegative integer or inf, got {n!r}")
-    result = 1.0
-    for k in range(n):
-        result *= 1.0 - a * q**k
+    result = 1
+    power = 1
+    for _ in range(n):
+        result = result * (1 - a * power)
+        power = power * q
     return result
 
 
@@ -58,45 +65,40 @@ def multi_pochhammer(values: tuple[float, ...], q: float, n: int | float | None)
     return result
 
 
-def _q_binomial(n: int, j: int, q: float) -> float:
-    """Gaussian binomial (q;q)_n / ((q;q)_j (q;q)_{n-j})."""
-    num = 1.0
-    for k in range(j):
-        num *= (1.0 - q ** (n - k)) / (1.0 - q ** (k + 1))
-    return num
+def little_q_jacobi_coeffs(n: int, a, b, q) -> list:
+    """Ascending coefficients of the little q-Jacobi polynomial p_n(x; a, b).
+
+        coeff_j = [n,j]_q (abq^{n+1};q)_j / (aq;q)_j * q^{binom(j+1,2) - n j} (-1)^j
+
+    with the Gaussian binomial [n,j]_q = (q;q)_n / ((q;q)_j (q;q)_{n-j}), in
+    whatever numeric carrier a, b and q are supplied in.
+    """
+    qq_n = q_pochhammer(q, q, n)
+    coeffs = []
+    for j in range(n + 1):
+        den = q_pochhammer(a * q, q, j)
+        if den == 0:
+            raise DegenerateParameterError(
+                f"(aq; q)_{j} = 0 at a={a}, q={q}: polynomial undefined"
+            )
+        binom = qq_n / (q_pochhammer(q, q, j) * q_pochhammer(q, q, n - j))
+        num = q_pochhammer(a * b * q ** (n + 1), q, j)
+        coeffs.append(binom * num / den * q ** (j * (j + 1) // 2 - n * j) * (-1) ** j)
+    return coeffs
 
 
 def little_q_jacobi(n: int, x: float, a: float, b: float, q: float) -> float:
     """Value of the monic-normalized little q-Jacobi polynomial p_n(x; a, b).
 
-    Terminating sum
-
-        p_n(x) = sum_{j=0}^{n} [n,j]_q (abq^{n+1};q)_j / (aq;q)_j
-                 * q^{binom(j+1,2) - n j} (-x)^j,
-
-    normalized so that p_0 = 1 and p_n(0) = 1.  Satisfies the monic-form
-    recurrence -x p_n = A_n p_{n+1} - (A_n + C_n) p_n + C_n p_{n-1}.
+    Sums the terminating series of little_q_jacobi_coeffs, normalized so that
+    p_0 = 1 and p_n(0) = 1.  Satisfies the monic-form recurrence
+    -x p_n = A_n p_{n+1} - (A_n + C_n) p_n + C_n p_{n-1}.
     """
     if n < 0:
         raise ParameterDomainError(f"n must be >= 0, got {n}")
     if not (0.0 < abs(q) < 1.0):
         raise ParameterDomainError(f"little_q_jacobi requires 0 < |q| < 1, got q={q}")
-    total = 0.0
-    for j in range(n + 1):
-        denom = q_pochhammer(a * q, q, j)
-        if denom == 0.0:
-            raise DegenerateParameterError(
-                f"(aq; q)_{j} = 0 at a={a}, q={q}: polynomial undefined"
-            )
-        term = (
-            _q_binomial(n, j, q)
-            * q_pochhammer(a * b * q ** (n + 1), q, j)
-            / denom
-            * q ** (j * (j + 1) // 2 - n * j)
-            * (-x) ** j
-        )
-        total += term
-    return total
+    return sum(c * x**j for j, c in enumerate(little_q_jacobi_coeffs(n, a, b, q)))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ __all__ = [
     "FamilySpec",
     "little_q_jacobi_monic_coeffs",
     "orthonormalize",
-    "coefficients",
     "evaluate_polynomial",
     "custom_sequence",
     "get_family",
@@ -159,11 +158,6 @@ class CoefficientSequence:
 
     def __repr__(self) -> str:
         return f"CoefficientSequence({self.family_id!r}, params={self.params!r})"
-
-
-def coefficients(seq: CoefficientSequence, n: int) -> tuple[float, float]:
-    """Return the pair (a_n, b_n)."""
-    return seq.a(n), seq.b(n)
 
 
 def evaluate_polynomial(seq: CoefficientSequence, n: int, x: float) -> float:

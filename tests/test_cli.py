@@ -242,6 +242,38 @@ def test_fib_berg_csv(capsys):
     assert out.splitlines()[0] == "m,n,normalized_gram"
 
 
+# -- every command in both formats --
+
+_CSV_CASES = [
+    (["families"], "families", "family,symmetric,param,default,minimum,maximum,required,description"),
+    (["verify", "--family", "harmonic", "--dim", "16"], "verify",
+     "relation,interior_residual,boundary_residual,passed"),
+    (["classify", "--family", "fibonacci-golden", "--nmax", "16"], "classify", "j,n,value"),
+    (["coherent", "--family", "harmonic", "--z", "0.3,1j", "--dim", "32"], "coherent",
+     "z,norm_constant,log_norm_constant,residual,dx_dp,bound,convergent,truncation_ok"),
+    (["fib", "numbers", "--n", "20"], "fib-numbers", "n,value"),
+    (["fib", "ismail"], "fib-ismail", "n,closed_form,recurrence,rel_diff,fib_value,fib_rel_diff"),
+    (["fib", "ismail", "--theta", "0.7", "--n", "20"], "fib-ismail", "n,closed_form,recurrence,rel_diff"),
+    (["fib", "filbert", "--n", "4"], "fib-filbert", "n,integer_inverse,product_is_identity"),
+    (["fib", "berg"], "fib-berg", "m,n,normalized_gram"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "argv, schema, header", _CSV_CASES, ids=[" ".join(c[0][:3]) for c in _CSV_CASES]
+)
+def test_every_command_in_both_formats(capsys, argv, schema, header, fmt):
+    code, out, err = _run(capsys, [*argv, "--format", fmt])
+    assert code == 0, err
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["schema"] == f"defosc.{schema}.v1"
+        _validate(payload)
+    else:
+        assert out.splitlines()[0] == header
+
+
 # -- config files --
 
 def test_config_supplies_defaults(capsys, tmp_path):
@@ -268,6 +300,29 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
     assert code == 2
     code, _, err = _run(capsys, ["verify", "--family", "harmonic", "--config", str(tmp_path / "missing.json")])
     assert code == 2
+    # values go through the flag's type and choices and are named when they fail
+    for command, key, value in (
+        ("verify", "format", "xml"),
+        ("coherent", "format", "xml"),
+        ("verify", "dim", None),
+        ("verify", "dim", [1]),
+        ("coherent", "z", [[0.1, 0.2]]),
+    ):
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = _run(capsys, [command, "--family", "harmonic", "--config", str(cfg)])
+        assert code == 2 and out == "" and f"'{key}'" in err
+
+
+def test_config_values_read_like_flags(capsys, tmp_path):
+    cfg = tmp_path / "coherent.json"
+    cfg.write_text(json.dumps({"family": "harmonic", "z": [0.5, "0.3+0.1j"], "dim": 16, "tol": 1e-8}))
+    by_config = _run(capsys, ["coherent", "--config", str(cfg)])
+    by_flags = _run(capsys, ["coherent", "--family", "harmonic", "--z", "0.5,0.3+0.1j", "--dim", "16", "--tol", "1e-8"])
+    assert by_config == by_flags and by_config[0] == 0
+    cfg.write_text(json.dumps({"family": "harmonic", "dim": 8, "dump_operators": True}))
+    by_config = _run(capsys, ["verify", "--config", str(cfg)])
+    assert by_config == _run(capsys, ["verify", "--family", "harmonic", "--dim", "8", "--dump-operators"])
+    assert "operators" in json.loads(by_config[1])
 
 
 # -- output files and reproducibility --
@@ -284,6 +339,11 @@ def test_output_writes_payload_and_metadata_sidecar(capsys, tmp_path):
     meta = json.loads((target.parent / "report.json.meta.json").read_text())
     assert meta["argv"][0] == "defosc"
     assert "generated_at" in meta and "version" in meta
+    # an unwritable target is invalid input, not a traceback
+    code, _, err = _run(
+        capsys, ["verify", "--family", "harmonic", "--output", str(tmp_path / "missing" / "r.json")]
+    )
+    assert code == 2 and "missing" in err
 
 
 def test_payloads_are_byte_identical_across_reruns(capsys, tmp_path):

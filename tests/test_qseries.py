@@ -1,6 +1,7 @@
 """Tests for q-Pochhammer products, basic hypergeometric sums and q-Jacobi values."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from defosc.qseries import (
     basic_hypergeometric,
     generalized_factorial_closed,
     little_q_jacobi,
+    little_q_jacobi_coeffs,
     multi_pochhammer,
     normalization_series_closed,
     q_pochhammer,
@@ -90,6 +92,36 @@ def test_q_jacobi_degree_zero_and_value_at_origin():
     # normalization fixes p_n(0) = 1
     for n in range(6):
         assert little_q_jacobi(n, 0.0, 0.5, 0.5, 0.5) == pytest.approx(1.0, rel=1e-13)
+
+
+def test_q_jacobi_coefficients_exact_in_fractions():
+    # the same code runs in an exact carrier: the monic-form recurrence
+    # -x p_n = A_n p_{n+1} - (A_n + C_n) p_n + C_n p_{n-1} holds coefficientwise
+    a, b, q = Fraction(1, 2), Fraction(1, 3), Fraction(-2, 5)
+    assert q_pochhammer(a, q, 3) == (1 - a) * (1 - a * q) * (1 - a * q * q)
+    ab = a * b
+    polys = [little_q_jacobi_coeffs(n, a, b, q) for n in range(7)]
+    assert polys[0] == [1]
+    assert all(isinstance(c, Fraction) for p in polys[1:] for c in p)
+    assert all(p[0] == 1 for p in polys)
+    padded = [p + [0] * (8 - len(p)) for p in polys]
+    for n in range(2, 6):
+        A = q**n * (1 - a * q ** (n + 1)) * (1 - ab * q ** (n + 1)) / (
+            (1 - ab * q ** (2 * n + 1)) * (1 - ab * q ** (2 * n + 2))
+        )
+        C = a * q**n * (1 - q**n) * (1 - b * q**n) / (
+            (1 - ab * q ** (2 * n)) * (1 - ab * q ** (2 * n + 1))
+        )
+        lhs = [0] + [-c for c in padded[n][:-1]]
+        rhs = [
+            A * u - (A + C) * v + C * w
+            for u, v, w in zip(padded[n + 1], padded[n], padded[n - 1])
+        ]
+        assert lhs == rhs
+        x = Fraction(3, 7)
+        assert little_q_jacobi(n, float(x), float(a), float(b), float(q)) == pytest.approx(
+            float(sum(c * x**j for j, c in enumerate(polys[n]))), rel=1e-13
+        )
 
 
 def test_q_jacobi_frozen_golden_value():
