@@ -233,18 +233,24 @@ def ismail_fib_values(theta: float, n: int) -> tuple[float, float]:
 
     Closed form e^{(n-1) theta} (1 - Q^n)/(1 - Q) with Q = -e^{-2 theta};
     recurrence y_{k+1} = 2 sinh(theta) y_k + y_{k-1}, F_1 = 1,
-    F_2 = 2 sinh(theta).
+    F_2 = 2 sinh(theta).  Both are at most e^{(n-1) theta}, which must fit
+    in a float.
     """
-    if not (theta > 0.0):
-        raise ParameterDomainError(f"theta must be > 0, got {theta}")
+    if not (0.0 < theta < math.inf):
+        raise ParameterDomainError(f"theta must be finite and > 0, got {theta}")
     if n < 1:
         raise ParameterDomainError(f"n must be >= 1, got {n}")
     q_base = -math.exp(-2.0 * theta)
-    closed = math.exp((n - 1) * theta) * (1.0 - q_base**n) / (1.0 - q_base)
+    try:
+        growth = math.exp((n - 1) * theta)
+    except OverflowError:
+        raise ParameterDomainError(f"F_{n}({theta}) overflows a float") from None
+    # (1 - Q^n)/(1 - Q) = 1 + Q + ... + Q^{n-1} lies in (0, 1] for -1 < Q < 0
+    closed = growth * (1.0 - q_base**n) / (1.0 - q_base)
+    if n == 1:
+        return closed, 1.0
     two_sinh = 2.0 * math.sinh(theta)
     prev, cur = 1.0, two_sinh
-    if n == 1:
-        return closed, prev
     for _ in range(n - 2):
         prev, cur = cur, two_sinh * cur + prev
     return closed, cur
@@ -296,6 +302,21 @@ def _resolve_precision(precision: str | None) -> str:
     return p
 
 
+def _geometric_partial_sum(s, K: int):
+    """sum_{k<K} s^k by doubling over the bits of K, most significant first.
+
+    Carries S(m) = sum_{k<m} s^k and s^m through S(2m) = S(m) (1 + s^m) and
+    S(m+1) = S(m) + s^m: at most 3 log2 K products in the carrier of s,
+    instead of the K of term-by-term summation.
+    """
+    total, power = 0, 1
+    for bit in bin(K)[2:]:
+        total, power = total * (1 + power), power * power
+        if bit == "1":
+            total, power = total + power, power * s
+    return total
+
+
 @dataclass(frozen=True)
 class NuMomentResult:
     """Truncated vs closed-form n-th moment of the discrete measure nu.
@@ -334,7 +355,13 @@ def nu_moments(
     truncated sums the first K mass points; closed_form is
     (1 - q^alpha) e^{-n theta} / (1 - q^{alpha+n}); tail_bound is the
     geometric bound |1 - q^alpha| e^{-n theta} |q|^{(alpha+n)K} / (1 - |q|^{alpha+n})
-    on their true difference.  q defaults to -e^{-2 theta}.
+    on their true difference.  q defaults to -e^{-2 theta}, which needs
+    theta > 0.
+
+    In extended precision the working precision grows with K so that
+    rounding stays below the tail bound, and the K-term partial sum is
+    formed by doubling over the bits of K (O(log K) products at that
+    precision, see _geometric_partial_sum) rather than term by term.
 
     When q^{alpha+n} > 0 the dropped tail is a positive geometric series and
     the bound is attained exactly, so within_bound compares with a small
@@ -347,9 +374,18 @@ def nu_moments(
         raise ParameterDomainError(f"K must be >= 1, got {K}")
     if not math.isfinite(theta):
         raise ParameterDomainError(f"theta must be finite, got {theta}")
-    if q is not None and not (0.0 < abs(q) < 1.0):
-        raise ParameterDomainError(f"require 0 < |q| < 1, got q={q}")
+    if not (math.isfinite(alpha) and alpha + n > 0):
+        # |q^(alpha+n)| < 1 is what makes the moment series converge
+        raise ParameterDomainError(
+            f"alpha must be finite with alpha + n > 0, got alpha={alpha}, n={n}"
+        )
+    if q is None and not theta > 0.0:
+        raise ParameterDomainError(
+            f"theta must be > 0 for the default q = -e^(-2 theta) to have |q| < 1, got {theta}"
+        )
     q_known = -math.exp(-2.0 * theta) if q is None else q
+    if not (0.0 < abs(q_known) < 1.0):
+        raise ParameterDomainError(f"require 0 < |q| < 1, got q={q_known}")
     if q_known < 0.0 and alpha != int(alpha):
         raise ParameterDomainError(
             f"alpha must be an integer when q < 0, got alpha={alpha}"
@@ -375,16 +411,11 @@ def nu_moments(
     dps = max(50, int(math.ceil(K * (alpha + n) * -math.log10(abs(q_known)))) + 30)
     with mpmath.workdps(dps):
         tv = mpmath.mpf(theta)
-        qv = -mpmath.e ** (-2 * tv) if q is None else mpmath.mpf(q)
-        e_nt = mpmath.e ** (-n * tv)
+        qv = -mpmath.exp(-2 * tv) if q is None else mpmath.mpf(q)
+        e_nt = mpmath.exp(-n * tv)
         mass = 1 - qv**alpha_i
         step = qv ** (alpha_i + n)
-        acc = mpmath.mpf(0)
-        power = mpmath.mpf(1)
-        for _ in range(K):
-            acc += power
-            power *= step
-        truncated = mass * e_nt * acc
+        truncated = mass * e_nt * _geometric_partial_sum(step, K)
         closed = mass * e_nt / (1 - step)
         tail = abs(mass) * e_nt * abs(qv) ** ((alpha_i + n) * K) / (1 - abs(qv) ** (alpha_i + n))
         margin = (abs(truncated) + abs(closed)) * mpmath.mpf(10) ** (15 - dps)
@@ -425,39 +456,75 @@ def _as_exact_square(m: Sequence[Sequence]) -> list[list[Fraction]]:
     return rows
 
 
+def _integer_scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(d * values, d) with d the lcm of the denominators: an integer vector."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def exact_inverse(m: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Inverse by rational Gauss-Jordan elimination; exact, no rounding."""
+    """Inverse by Gauss-Jordan elimination on [A | I]; exact, no rounding.
+
+    Each row of [A | I] is held as a primitive integer vector, a nonzero
+    multiple of the rational row: it starts scaled by the lcm of its
+    denominators, an update r <- p r - f r_pivot (p : f the pivot and the
+    entry to clear, in lowest terms) stays integral, and one gcd per update
+    removes the content, so no Fraction arithmetic runs inside the
+    elimination.  The pivot is the first nonzero entry at or below the
+    diagonal, so a singular matrix is reported at the same column as
+    rational elimination would.  Row i ends as a multiple of
+    [e_i | row i of the inverse], whence the inverse entry (i, j) is
+    Fraction(row[n + j], row[i]).
+    """
     a = _as_exact_square(m)
     n = len(a)
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rows = []
+    for i, row in enumerate(a):
+        ints, den = _integer_scaled(row)
+        rows.append(ints + [den if j == i else 0 for j in range(n)])  # content 1, den is the lcm
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot_row is None:
             raise SingularMatrixError(f"matrix is singular (column {col})")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        pivot = a[col][col]
-        a[col] = [v / pivot for v in a[col]]
-        inv[col] = [v / pivot for v in inv[col]]
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        pivot = rows[col]
         for r in range(n):
-            if r == col or a[r][col] == 0:
+            entry = rows[r][col]
+            if r == col or not entry:
                 continue
-            factor = a[r][col]
-            a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-            inv[r] = [v - factor * w for v, w in zip(inv[r], inv[col])]
-    return inv
+            g = math.gcd(pivot[col], entry)
+            p, f = pivot[col] // g, entry // g
+            row = [p * v - f * w for v, w in zip(rows[r], pivot)]
+            g = math.gcd(*row)  # >= 1: the rows of [A | I] stay independent
+            rows[r] = row if g == 1 else [v // g for v in row]
+    return [[Fraction(row[n + j], row[i]) for j in range(n)] for i, row in enumerate(rows)]
 
 
 def exact_matmul(
     a: Sequence[Sequence], b: Sequence[Sequence]
 ) -> list[list[Fraction]]:
+    """Exact product of two rational matrices; ragged input is rejected.
+
+    Each row of a and each column of b is scaled to integers by the lcm of
+    its denominators, so an entry is one integer dot product over the
+    product of the two scales, made a Fraction once.
+    """
     rows_a = [[Fraction(v) for v in row] for row in a]
     rows_b = [[Fraction(v) for v in row] for row in b]
-    if not rows_a or not rows_b or len(rows_a[0]) != len(rows_b):
-        raise ParameterDomainError("inner dimensions must agree")
+    if (
+        not rows_a
+        or not rows_b
+        or any(len(row) != len(rows_b) for row in rows_a)
+        or any(len(row) != len(rows_b[0]) for row in rows_b)
+    ):
+        raise ParameterDomainError(
+            "matrices must be non-empty and rectangular, with matching inner dimensions"
+        )
+    left = [_integer_scaled(row) for row in rows_a]
+    right = [_integer_scaled(col) for col in zip(*rows_b)]
     return [
-        [sum(x * y for x, y in zip(row, col)) for col in zip(*rows_b)]
-        for row in rows_a
+        [Fraction(sum(x * y for x, y in zip(u, v)), du * dv) for v, dv in right]
+        for u, du in left
     ]
 
 
@@ -650,7 +717,8 @@ def berg_orthogonality(
             for k in range(2 * n_max + 1)
         ]
         base = MomentFunctional(moments)
-        polys = [qseries.little_q_jacobi_coeffs(n, q, 1, q) for n in range(n_max + 1)]
+        # the calibration needs p_1 and p_2 even when the table stops at n_max = 1
+        polys = [qseries.little_q_jacobi_coeffs(n, q, 1, q) for n in range(max(n_max, 2) + 1)]
         alpha, beta = calibrate_affine(base, polys[1], polys[2])
         cal = base.affine(alpha, beta)
 

@@ -236,6 +236,20 @@ def test_fib_berg(capsys):
     assert payload["max_off_diagonal"] < 1e-8
 
 
+def test_fib_berg_smallest_table(capsys):
+    payload = _run_json(capsys, ["fib", "berg", "--nmax", "1"])
+    assert payload["n_max"] == 1
+    assert payload["passed"] is True
+    assert payload["normalized_off_diagonal"] == [[0.0], []]
+
+
+def test_fib_ismail_overflow_exits_2(capsys):
+    code, out, err = _run(capsys, ["fib", "ismail", "--theta", "800", "--n", "5"])
+    assert code == 2 and out == "" and "overflows" in err
+    code, out, err = _run(capsys, ["fib", "ismail", "--theta", "inf", "--n", "5"])
+    assert code == 2 and out == "" and "finite" in err
+
+
 def test_fib_berg_csv(capsys):
     code, out, _ = _run(capsys, ["fib", "berg", "--format", "csv"])
     assert code == 0

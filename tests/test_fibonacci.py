@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -128,6 +129,24 @@ def test_deformed_fib_validation():
         ismail_fib_values(0.5, 0)
 
 
+def test_deformed_fib_rejects_non_finite_theta_and_overflow():
+    from defosc.fibonacci import ismail_fib, ismail_fib_values
+
+    for theta in (math.inf, math.nan):
+        with pytest.raises(ParameterDomainError, match="finite"):
+            ismail_fib_values(theta, 5)
+        with pytest.raises(ParameterDomainError):
+            ismail_fib(theta, 5)
+    # e^{4 * 800} is past the float range: rejected, not an OverflowError
+    with pytest.raises(ParameterDomainError, match="overflows"):
+        ismail_fib_values(800.0, 5)
+    with pytest.raises(ParameterDomainError, match="overflows"):
+        ismail_fib_values(710.0, 2)
+    closed, rec = ismail_fib_values(709.0, 2)
+    assert math.isfinite(closed) and closed == pytest.approx(rec, rel=1e-12)
+    assert ismail_fib_values(800.0, 1) == (1.0, 1.0)
+
+
 def test_theta0_constants():
     assert math.sinh(THETA0) == 0.5
     assert -math.exp(-2.0 * THETA0) == GOLDEN_Q
@@ -204,7 +223,7 @@ def test_filbert_two_by_two_inverse_frozen():
 
 
 def test_filbert_inverses_are_integer_matrices():
-    for n in range(1, 9):
+    for n in range(1, 17):
         m = filbert_matrix(n)
         inv = exact_inverse(m)
         assert is_integer_matrix(inv)
@@ -237,6 +256,69 @@ def test_exact_inverse_rejects_singular_and_ragged():
         exact_inverse([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ParameterDomainError):
         exact_matmul([[1, 2]], [[1, 2], [3, 4], [5, 6]])
+    # ragged rows used to be truncated silently by zip
+    with pytest.raises(ParameterDomainError):
+        exact_matmul([[1, 2], [3, 4]], [[1, 2], [3]])
+    with pytest.raises(ParameterDomainError):
+        exact_matmul([[1, 2], [3]], [[1], [2]])
+
+
+def _fraction_inverse(m):
+    """Textbook Gauss-Jordan on Fraction rows, same pivot rule as exact_inverse."""
+    a = [[Fraction(v) for v in row] for row in m]
+    n = len(a)
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot_row is None:
+            raise SingularMatrixError(f"matrix is singular (column {col})")
+        a[col], a[pivot_row] = a[pivot_row], a[col]
+        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
+        pivot = a[col][col]
+        a[col] = [v / pivot for v in a[col]]
+        inv[col] = [v / pivot for v in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
+                inv[r] = [v - factor * w for v, w in zip(inv[r], inv[col])]
+    return inv
+
+
+_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7)),
+)
+
+
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.lists(st.lists(_rationals, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+def test_exact_inverse_matches_fraction_elimination(m):
+    # zero entries are drawn often, so pivots need row swaps and some draws are singular
+    try:
+        want = _fraction_inverse(m)
+    except SingularMatrixError as exc:
+        with pytest.raises(SingularMatrixError) as got:
+            exact_inverse(m)
+        assert str(got.value) == str(exc)
+        return
+    inv = exact_inverse(m)
+    assert inv == want
+    n = len(m)
+    assert exact_matmul(m, inv) == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    plain = [[sum(Fraction(m[i][k]) * m[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    assert exact_matmul(m, m) == plain
+
+
+def test_exact_inverse_row_swap_case():
+    # zero leading pivot: the first column's pivot comes from row 1
+    m = [[0, 1, 2], [3, 0, 1], [Fraction(1, 2), 4, 0]]
+    assert exact_inverse(m) == _fraction_inverse(m)
+    with pytest.raises(SingularMatrixError, match="column 1"):
+        exact_inverse([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
 
 
 def test_exact_matmul_hand_case():
@@ -360,6 +442,17 @@ def test_berg_validation():
         berg_orthogonality(6, "classical", precision="single")
 
 
+def test_berg_smallest_table():
+    # the calibration needs p_1 and p_2 even when the table stops at degree 1
+    report = berg_orthogonality(1)
+    assert report.n_max == 1
+    assert report.alpha == pytest.approx(1.618033988749895, rel=1e-12)
+    assert len(report.diagonal) == 2
+    assert [len(r) for r in report.normalized_off_diagonal] == [1, 0]
+    assert report.passes(1e-8)
+    assert report.alpha == berg_orthogonality(2).alpha
+
+
 def test_berg_report_dict():
     d = berg_orthogonality(3, "classical").to_dict()
     assert d["convention"] == "classical"
@@ -417,6 +510,61 @@ def test_nu_validation():
         nu_moments(0, 1.5, 0.5)  # non-integer alpha with negative default q
     with pytest.raises(ParameterDomainError):
         nu_moments(0, 2, 0.5, precision="single")
+    # non-finite alpha used to surface as int() errors naming the wrong cause
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterDomainError, match="alpha"):
+            nu_moments(0, alpha, 0.5)
+    # alpha + n <= 0 makes |q^(alpha+n)| >= 1: the series diverges (was ZeroDivisionError at 0)
+    with pytest.raises(ParameterDomainError, match="alpha"):
+        nu_moments(0, 0, 0.5)
+    with pytest.raises(ParameterDomainError, match="alpha"):
+        nu_moments(1, -2, 0.5, q=0.5)
+    # default q = -e^{-2 theta} needs theta > 0; theta = -0.5 returned a 1e260
+    # "truncated" value, theta = 0 raised ZeroDivisionError
+    for theta in (-0.5, 0.0):
+        for precision in ("double", "extended"):
+            with pytest.raises(ParameterDomainError, match="theta"):
+                nu_moments(0, 2, theta, precision=precision)
+    # a default q that underflows to 0 is rejected too
+    with pytest.raises(ParameterDomainError, match="q"):
+        nu_moments(0, 2, 400.0)
+    # an explicit q frees theta
+    assert nu_moments(1, 2, -0.5, q=0.5).within_bound
+
+
+def _nu_plain_loop(n, alpha, theta, q, K, dps):
+    """The K-term nu moment summed term by term at the given precision."""
+    with mpmath.workdps(dps):
+        qv = mpmath.mpf(q)
+        e_nt = mpmath.exp(-n * mpmath.mpf(theta))
+        mass = 1 - qv**alpha
+        step = qv ** (alpha + n)
+        acc, power = mpmath.mpf(0), mpmath.mpf(1)
+        for _ in range(K):
+            acc += power
+            power *= step
+        truncated = mass * e_nt * acc
+        closed = mass * e_nt / (1 - step)
+        tail = abs(mass) * e_nt * abs(qv) ** ((alpha + n) * K) / (1 - abs(qv) ** (alpha + n))
+        margin = (abs(truncated) + abs(closed)) * mpmath.mpf(10) ** (15 - dps)
+        within = bool(abs(truncated - closed) <= tail + margin)
+        return float(truncated), float(closed), float(tail), within
+
+
+@pytest.mark.parametrize("q", [-0.999, -0.5, 0.5, 0.999])
+def test_nu_doubling_sum_equals_plain_loop(q):
+    for K in [*range(1, 71), 1000]:
+        for alpha in (1, 2, 3):
+            for n in range(4):
+                res = nu_moments(n, alpha, 0.7, q=q, K=K)
+                want = _nu_plain_loop(n, alpha, 0.7, q, K, res.dps)
+                got = (res.truncated, res.closed_form, res.tail_bound, res.within_bound)
+                assert got == want, (K, alpha, n)
+
+
+def test_nu_working_precision_is_kept():
+    # K (alpha + n) log10(1/|q|) + 30 digits with q = -e^{-1}
+    assert nu_moments(6, 2, 0.5, K=2000).dps == 6979
 
 
 @given(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=2))
