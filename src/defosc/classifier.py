@@ -14,6 +14,7 @@ only beyond the tested range is reported Finite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,6 +142,8 @@ def classify(
     """
     if n_max < 8:
         raise ParameterDomainError(f"n_max must be >= 8, got {n_max}")
+    if not 0.0 <= tol < math.inf:
+        raise ParameterDomainError(f"tol must be finite and >= 0, got {tol}")
     beta0, beta2 = fit_beta(seq)
     fit_residual = 0.0
     for n in range(n_max + 1):

@@ -15,15 +15,15 @@ companion and the normalized coefficients stay finite.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import oscillator
+from . import oscillator, qseries
 from .errors import (
     DimensionError,
-    DivergenceError,
     ParameterDomainError,
     TruncationError,
     ZeroCoefficientError,
@@ -72,13 +72,13 @@ def normalization(
 
     With n_terms given, returns exactly that partial sum (no convergence
     requirement) so independent summation routes can be compared at matched
-    depth.  Otherwise the series must converge: summation stops once the
-    term drops below tol relative to the running sum, and three consecutive
-    non-decreasing term ratios >= 1 (or max_terms exhaustion) raise
-    DivergenceError.
+    depth.  Otherwise the series must converge: the term ratios
+    r2 / (2 b_m^2) of its first max_terms terms go to
+    qseries.sum_ratio_series, whose stopping rule and DivergenceError every
+    series of the package shares.
     """
-    if r2 < 0.0:
-        raise ParameterDomainError(f"r2 must be >= 0, got {r2}")
+    if not 0.0 <= r2 < math.inf:
+        raise ParameterDomainError(f"r2 must be finite and >= 0, got {r2}")
     if n_terms is not None:
         if n_terms < 1:
             raise ParameterDomainError(f"n_terms must be >= 1, got {n_terms}")
@@ -91,35 +91,17 @@ def normalization(
                 term *= r2 / denom
             total += term
         return total
-    total, term = 1.0, 1.0
     if r2 == 0.0:
-        return total
-    small_streak = 0
-    growth_streak = 0
-    prev_ratio = 0.0
-    for m in range(1, max_terms):
-        denom = 2.0 * seq.b_squared(m - 1)
-        if denom == 0.0:
-            raise ZeroCoefficientError(f"b_{m - 1} = 0: term {m} undefined")
-        ratio = r2 / denom
-        term *= ratio
-        total += term
-        if ratio >= 1.0 and ratio >= prev_ratio:
-            growth_streak += 1
-            if growth_streak >= 3:
-                raise DivergenceError(
-                    f"normalization series diverges (term ratio {ratio:.3g} at n={m})"
-                )
-        else:
-            growth_streak = 0
-        prev_ratio = ratio
-        if abs(term) <= tol * max(1.0, abs(total)) and ratio < 1.0:
-            small_streak += 1
-            if small_streak >= 2:
-                return total
-        else:
-            small_streak = 0
-    raise DivergenceError(f"normalization did not converge within {max_terms} terms")
+        return 1.0
+
+    def ratios():
+        for m in range(1, max_terms):
+            denom = 2.0 * seq.b_squared(m - 1)
+            if denom == 0.0:
+                raise ZeroCoefficientError(f"b_{m - 1} = 0: term {m} undefined")
+            yield r2 / denom
+
+    return qseries.sum_ratio_series(ratios(), tol).value
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +143,11 @@ def make_state(
     """
     if dim < 2:
         raise DimensionError(f"dim must be >= 2, got {dim}")
+    if not 0.0 <= tol < math.inf:
+        raise ParameterDomainError(f"tol must be finite and >= 0, got {tol}")
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ParameterDomainError(f"z must be finite, got {z}")
     r2 = abs(z) ** 2
 
     if r2 == 0.0:

@@ -358,10 +358,12 @@ def nu_moments(
     on their true difference.  q defaults to -e^{-2 theta}, which needs
     theta > 0.
 
-    In extended precision the working precision grows with K so that
-    rounding stays below the tail bound, and the K-term partial sum is
-    formed by doubling over the bits of K (O(log K) products at that
-    precision, see _geometric_partial_sum) rather than term by term.
+    precision (or DEFOSC_PRECISION) picks the carrier once: `double` runs
+    in floats, `extended` in mpmath at a working precision dps that grows
+    with K so that rounding stays below the tail bound.  Both evaluate the
+    same formula and form the K-term partial sum by doubling over the bits
+    of K (O(log K) products, see _geometric_partial_sum).  A theta for
+    which e^{-n theta} overflows a double is rejected in double precision.
 
     When q^{alpha+n} > 0 the dropped tail is a positive geometric series and
     the bound is attained exactly, so within_bound compares with a small
@@ -370,8 +372,8 @@ def nu_moments(
     """
     if n < 0:
         raise ParameterDomainError(f"n must be >= 0, got {n}")
-    if K < 1:
-        raise ParameterDomainError(f"K must be >= 1, got {K}")
+    if not isinstance(K, int) or K < 1:
+        raise ParameterDomainError(f"K must be an integer >= 1, got {K!r}")
     if not math.isfinite(theta):
         raise ParameterDomainError(f"theta must be finite, got {theta}")
     if not (math.isfinite(alpha) and alpha + n > 0):
@@ -392,33 +394,29 @@ def nu_moments(
         )
     mode = _resolve_precision(precision)
 
-    alpha_i = int(alpha) if alpha == int(alpha) else alpha
     if mode == "double":
-        qv = q_known
-        e_nt = math.exp(-n * theta)
-        mass = 1.0 - qv**alpha_i
-        step = qv ** (alpha_i + n)
-        truncated = mass * e_nt * sum(step**k for k in range(K))
-        closed = mass * e_nt / (1.0 - step)
-        tail = abs(mass) * e_nt * abs(qv) ** ((alpha_i + n) * K) / (1.0 - abs(qv) ** (alpha_i + n))
-        margin = 1e-13 * (abs(truncated) + abs(closed))
-        within = abs(truncated - closed) <= tail + margin
-        return NuMomentResult(
-            n, alpha, theta, qv, K, truncated, closed, tail, within, mode, None
-        )
-
-    # working precision sized so rounding stays below the geometric tail
-    dps = max(50, int(math.ceil(K * (alpha + n) * -math.log10(abs(q_known)))) + 30)
-    with mpmath.workdps(dps):
-        tv = mpmath.mpf(theta)
-        qv = -mpmath.exp(-2 * tv) if q is None else mpmath.mpf(q)
-        e_nt = mpmath.exp(-n * tv)
+        dps, number, exp, context = None, float, math.exp, contextlib.nullcontext()
+    else:
+        # working precision sized so rounding stays below the geometric tail
+        dps = max(50, int(math.ceil(K * (alpha + n) * -math.log10(abs(q_known)))) + 30)
+        number, exp, context = mpmath.mpf, mpmath.exp, mpmath.workdps(dps)
+    alpha_i = int(alpha) if alpha == int(alpha) else alpha
+    with context:
+        rel_margin = 1e-13 if dps is None else mpmath.mpf(10) ** (15 - dps)
+        tv = number(theta)
+        qv = -exp(-2 * tv) if q is None else number(q)
+        try:
+            e_nt = exp(-n * tv)
+        except OverflowError:
+            raise ParameterDomainError(
+                f"e^(-n theta) overflows a double at n={n}, theta={theta}"
+            ) from None
         mass = 1 - qv**alpha_i
         step = qv ** (alpha_i + n)
         truncated = mass * e_nt * _geometric_partial_sum(step, K)
         closed = mass * e_nt / (1 - step)
         tail = abs(mass) * e_nt * abs(qv) ** ((alpha_i + n) * K) / (1 - abs(qv) ** (alpha_i + n))
-        margin = (abs(truncated) + abs(closed)) * mpmath.mpf(10) ** (15 - dps)
+        margin = (abs(truncated) + abs(closed)) * rel_margin
         within = bool(abs(truncated - closed) <= tail + margin)
         return NuMomentResult(
             n,
@@ -650,7 +648,7 @@ class BergReport:
     diagonal: tuple[float, ...]
     max_off_diagonal: float
     diagonal_positive: bool
-    dps: int | None
+    dps: int
 
     def passes(self, tol: float) -> bool:
         return self.diagonal_positive and self.max_off_diagonal < tol
@@ -672,18 +670,14 @@ class BergReport:
 _BERG_DPS = 50
 
 
-def berg_orthogonality(
-    n_max: int = 6,
-    convention: str = "classical",
-    precision: str | None = None,
-) -> BergReport:
+def berg_orthogonality(n_max: int = 6, convention: str = "classical") -> BergReport:
     """Gram table L(p_m p_n) of golden-base little q-Jacobi polynomials.
 
-    Moments are the exact reciprocal Fibonacci numbers; the affine map
-    x -> alpha x + beta is calibrated from L(p_1) = L(p_2) = 0 before the
+    Moments are the exact reciprocal Fibonacci numbers; everything after
+    them runs in mpmath at 50 digits (reported as dps): the affine map
+    x -> alpha x + beta is calibrated from L(p_1) = L(p_2) = 0, then the
     table is formed.  Off-diagonal entries are reported normalized by
-    sqrt(L(p_m^2) L(p_n^2)).  Double precision loses ~14 digits to
-    cancellation and is only useful to demonstrate that loss.
+    sqrt(L(p_m^2) L(p_n^2)).
     """
     if not (1 <= n_max <= 16):
         raise ParameterDomainError(f"n_max must be in 1..16, got {n_max}")
@@ -695,25 +689,12 @@ def berg_orthogonality(
         raise ParameterDomainError(
             f"convention must be 'classical' or 'shifted', got {convention!r}"
         )
-    mode = _resolve_precision(precision)
 
-    if mode == "extended":
-        dps = _BERG_DPS
-        ctx = mpmath.workdps(dps)
-    else:
-        dps = None
-        ctx = contextlib.nullcontext()
-
-    with ctx:
-        if mode == "extended":
-            sqrt5 = mpmath.sqrt(5)
-            lift = mpmath.mpf
-        else:
-            sqrt5 = math.sqrt(5.0)
-            lift = float
+    with mpmath.workdps(_BERG_DPS):
+        sqrt5 = mpmath.sqrt(5)
         q = (1 - sqrt5) / (1 + sqrt5)
         moments = [
-            lift(moment_fn(k).numerator) / lift(moment_fn(k).denominator)
+            mpmath.mpf(moment_fn(k).numerator) / mpmath.mpf(moment_fn(k).denominator)
             for k in range(2 * n_max + 1)
         ]
         base = MomentFunctional(moments)
@@ -746,5 +727,5 @@ def berg_orthogonality(
             tuple(float(d) for d in diag),
             max_off,
             diagonal_positive,
-            dps,
+            _BERG_DPS,
         )

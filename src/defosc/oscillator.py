@@ -20,11 +20,12 @@ last two rows and columns, where a finite section cannot close the algebra.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, ParameterDomainError
 from .recurrence import CoefficientSequence
 
 __all__ = [
@@ -38,6 +39,14 @@ __all__ = [
     "matrix_to_json",
     "matrix_csv_rows",
 ]
+
+
+def _peak(maxima: list) -> float:
+    """Largest of some maxima, 0.0 if there are none; NaN if one is NaN.
+
+    Python's max(0.0, nan) returns 0.0, which would let a NaN residual pass.
+    """
+    return float(np.max(maxima)) if maxima else 0.0
 
 
 class BandMatrix:
@@ -186,25 +195,17 @@ class BandMatrix:
     # -- residual norms ------------------------------------------------------
 
     def max_abs(self, skip_edge: int = 0) -> float:
-        """Largest |entry| over rows and columns below dim - skip_edge."""
+        """Largest |entry| over rows and columns below dim - skip_edge (NaN if any is)."""
         cut = self.dim - skip_edge
-        best = 0.0
-        for o, vals in self.bands.items():
-            # both endpoints of band entry k are < cut iff k < cut - |o|
-            stop = min(len(vals), cut - abs(o))
-            if stop > 0:
-                best = max(best, float(np.max(np.abs(vals[:stop]))))
-        return best
+        # both endpoints of band entry k are < cut iff k < cut - |o|
+        parts = [v[: max(0, cut - abs(o))] for o, v in self.bands.items()]
+        return _peak([np.max(np.abs(p)) for p in parts if p.size])
 
     def edge_max_abs(self, skip_edge: int = 2) -> float:
-        """Largest |entry| touching the last skip_edge rows or columns."""
+        """Largest |entry| touching the last skip_edge rows or columns (NaN if any is)."""
         cut = self.dim - skip_edge
-        best = 0.0
-        for o, vals in self.bands.items():
-            start = max(0, cut - abs(o))
-            if start < len(vals):
-                best = max(best, float(np.max(np.abs(vals[start:]))))
-        return best
+        parts = [v[max(0, cut - abs(o)) :] for o, v in self.bands.items()]
+        return _peak([np.max(np.abs(p)) for p in parts if p.size])
 
     def __repr__(self) -> str:
         pre = "i*" if self.imaginary else ""
@@ -311,6 +312,8 @@ def verify_algebra(seq: CoefficientSequence, dim: int, tol: float = 1e-10) -> Al
     """
     if dim < 4:
         raise DimensionError(f"dim must be >= 4, got {dim}")
+    if not 0.0 <= tol < math.inf:
+        raise ParameterDomainError(f"tol must be finite and >= 0, got {tol}")
     ops = build_operators(seq, dim)
 
     # The target diagonals reuse the same sqrt(2) b_n floats that fill the
@@ -325,14 +328,9 @@ def verify_algebra(seq: CoefficientSequence, dim: int, tol: float = 1e-10) -> Al
     lam_op = BandMatrix(dim, {0: s_prev + s_sq}, "lambda")
 
     casimir = 2.0 * ops.b_op - ops.a_plus @ ops.a_minus
-    cas_comm = max(
-        commutator(casimir, ops.a_plus).max_abs(2),
-        commutator(casimir, ops.a_minus).max_abs(2),
-    )
-    cas_comm_edge = max(
-        commutator(casimir, ops.a_plus).edge_max_abs(2),
-        commutator(casimir, ops.a_minus).edge_max_abs(2),
-    )
+    cas_comms = (commutator(casimir, ops.a_plus), commutator(casimir, ops.a_minus))
+    cas_comm = _peak([c.max_abs(2) for c in cas_comms])
+    cas_comm_edge = _peak([c.edge_max_abs(2) for c in cas_comms])
 
     checks = (
         _check(

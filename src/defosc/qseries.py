@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import DegenerateParameterError, DivergenceError, ParameterDomainError
 
@@ -49,7 +50,7 @@ def q_pochhammer(a: float, q: float, n: int | float | None) -> float:
         return result
     if not isinstance(n, int) or n < 0:
         raise ParameterDomainError(f"n must be a nonnegative integer or inf, got {n!r}")
-    result = 1
+    result = a**0  # the carrier's one, also for the empty product n = 0
     power = 1
     for _ in range(n):
         result = result * (1 - a * power)
@@ -133,58 +134,72 @@ class HyperSeriesResult:
     tail_estimate: float
 
 
-def basic_hypergeometric(spec: HyperSeriesSpec) -> HyperSeriesResult:
-    """Sum an r_phi_s series with tail control and divergence detection.
+def sum_ratio_series(multipliers: Iterable[float], tol: float) -> HyperSeriesResult:
+    """Sum 1 + t_1 + t_2 + ... with t_{k+1} = t_k m_k over the multipliers m_k.
 
-    Stops once two consecutive terms fall below tol relative to the partial
-    sum.  Declares divergence when the term ratio stays >= 1 and keeps
-    growing for three consecutive steps, or when max_terms is exhausted.
+    One stopping rule for every series: a term that is exactly 0 ends the
+    series with tail 0.  With ratio = |t_{k+1}| / |t_k|, two consecutive
+    terms at or below tol * max(1, |sum|) while the ratio is below 1 end it
+    with the geometric tail estimate |t| / (1 - ratio).  Three consecutive
+    steps with ratio >= 1, each no smaller than the step before (the first
+    step has none before it), raise DivergenceError, as does running out of
+    multipliers.
     """
-    exponent = 1 + len(spec.denominator) - len(spec.numerator)
-    q, z = spec.q, spec.z
-    term = 1.0
-    total = 1.0
-    small_streak = 0
-    growth_streak = 0
+    term = total = 1.0
+    small_streak = growth_streak = 0
     prev_ratio = None
-    for k in range(spec.max_terms):
-        num = 1.0
-        for a in spec.numerator:
-            num *= 1.0 - a * q**k
-        den = 1.0 - q ** (k + 1)
-        for b in spec.denominator:
-            den *= 1.0 - b * q**k
-        if den == 0.0:
-            raise DegenerateParameterError(
-                f"denominator Pochhammer factor vanishes at k={k}"
-            )
-        multiplier = num / den * z * (-(q**k)) ** exponent
+    k = -1
+    for k, multiplier in enumerate(multipliers):
         next_term = term * multiplier
         if next_term == 0.0:
-            # a numerator factor hit zero: the series terminates here
             return HyperSeriesResult(total, k + 1, 0.0)
         ratio = abs(next_term) / abs(term)
         if ratio >= 1.0 and prev_ratio is not None and ratio >= prev_ratio:
             growth_streak += 1
             if growth_streak >= 3:
-                raise DivergenceError(
-                    f"series diverges: term ratio grew to {ratio} at k={k}"
-                )
+                raise DivergenceError(f"series diverges: term ratio grew to {ratio} at k={k}")
         else:
             growth_streak = 0
         prev_ratio = ratio
         term = next_term
         total += term
-        if abs(term) <= spec.tol * max(1.0, abs(total)):
+        if abs(term) <= tol * max(1.0, abs(total)) and ratio < 1.0:
             small_streak += 1
             if small_streak >= 2:
-                tail = abs(term) / (1.0 - ratio) if ratio < 1.0 else abs(term)
-                return HyperSeriesResult(total, k + 2, tail)
+                return HyperSeriesResult(total, k + 2, abs(term) / (1.0 - ratio))
         else:
             small_streak = 0
-    raise DivergenceError(
-        f"series did not converge within {spec.max_terms} terms"
-    )
+    raise DivergenceError(f"series did not converge within {k + 1} terms")
+
+
+def basic_hypergeometric(spec: HyperSeriesSpec) -> HyperSeriesResult:
+    """Sum an r_phi_s series with tail control and divergence detection.
+
+    Its term ratios, the Pochhammer multipliers, go to sum_ratio_series (at
+    most max_terms of them): the sum stops once two consecutive decreasing
+    terms fall below tol relative to it, and growing ratios or running out
+    of terms raise DivergenceError.  A vanishing denominator factor raises
+    DegenerateParameterError.
+    """
+    exponent = 1 + len(spec.denominator) - len(spec.numerator)
+    q, z = spec.q, spec.z
+
+    def multipliers():
+        for k in range(spec.max_terms):
+            qk = q**k
+            num = 1.0
+            for a in spec.numerator:
+                num *= 1.0 - a * qk
+            den = 1.0 - q ** (k + 1)
+            for b in spec.denominator:
+                den *= 1.0 - b * qk
+            if den == 0.0:
+                raise DegenerateParameterError(
+                    f"denominator Pochhammer factor vanishes at k={k}"
+                )
+            yield num / den * z * (-qk) ** exponent
+
+    return sum_ratio_series(multipliers(), spec.tol)
 
 
 def generalized_factorial_closed(a: float, b: float, q: float, n: int) -> float:

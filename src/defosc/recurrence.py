@@ -401,6 +401,10 @@ def make_sequence(name: str, params: dict | None = None) -> CoefficientSequence:
     kwargs = {}
     for ps in spec.params:
         if ps.name in params:
+            if not math.isfinite(params[ps.name]):
+                raise ParameterDomainError(
+                    f"family {name!r} parameter {ps.name!r} must be finite, got {params[ps.name]}"
+                )
             kwargs[ps.name] = params[ps.name]
         elif ps.required:
             raise ParameterDomainError(f"family {name!r} requires parameter {ps.name!r}")

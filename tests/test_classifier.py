@@ -155,6 +155,10 @@ def test_parameter_validation():
     seq = make_sequence("harmonic")
     with pytest.raises(ParameterDomainError):
         classify(seq, n_max=7)
+    # tol = nan made every sequence Infinite, tol = inf every one Finite
+    for tol in (math.nan, math.inf, -1e-9):
+        with pytest.raises(ParameterDomainError, match="tol"):
+            classify(seq, tol=tol)
     with pytest.raises(ParameterDomainError):
         difference_table(seq, 3, 2)
     with pytest.raises(ParameterDomainError):

@@ -105,6 +105,30 @@ def test_verify_invalid_inputs(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        # were passed: true / Finite with every residual 0.0
+        (["verify", "--family", "laguerre", "--alpha", "inf"], "alpha"),
+        (["classify", "--family", "laguerre", "--alpha", "inf"], "alpha"),
+        # were an OverflowError traceback, and an error about int() for nan
+        (["verify", "--family", "ismail-theta", "--theta", "0.5", "--alpha", "inf"], "alpha"),
+        (["verify", "--family", "ismail-theta", "--theta", "0.5", "--alpha", "nan"], "alpha"),
+        # were exit 0 with convergent: true and NaN coefficients or rows
+        (["coherent", "--family", "harmonic", "--z", "nan"], "z"),
+        (["coherent", "--family", "harmonic", "--z", "0.5,inf"], "z"),
+        # were exit 3 (verify) and exit 0 (classify, coherent)
+        (["verify", "--family", "harmonic", "--tol", "nan"], "tol"),
+        (["classify", "--family", "harmonic", "--tol", "nan"], "tol"),
+        (["coherent", "--family", "harmonic", "--z", "0.5", "--tol", "-1"], "tol"),
+    ],
+)
+def test_non_finite_input_exits_2(capsys, argv, named):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert named in err and "finite" in err
+
+
 # -- classify --
 
 def test_classify_verdicts(capsys):

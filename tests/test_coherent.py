@@ -8,6 +8,7 @@ import pytest
 from defosc import (
     DimensionError,
     DivergenceError,
+    ParameterDomainError,
     TruncationError,
     ZeroCoefficientError,
     custom_sequence,
@@ -77,6 +78,11 @@ def test_normalization_validation():
     bad = custom_sequence(lambda n: 0.0 if n == 2 else 1.0)
     with pytest.raises(ZeroCoefficientError):
         normalization(bad, 0.5, n_terms=10)
+    with pytest.raises(ZeroCoefficientError):
+        normalization(bad, 0.5)
+    for r2 in (math.nan, math.inf):
+        with pytest.raises(ParameterDomainError, match="r2"):
+            normalization(seq, r2)
 
 
 # -- state construction --
@@ -160,6 +166,13 @@ def test_make_state_validation():
     bad = custom_sequence(lambda n: 0.0 if n == 3 else 1.0)
     with pytest.raises(ZeroCoefficientError):
         make_state(bad, 0.5, 8)
+    # z = nan was called convergent with NaN coefficients, z = inf gave a NaN row
+    for z in (math.nan, math.inf, complex(0.5, math.nan)):
+        with pytest.raises(ParameterDomainError, match="z"):
+            make_state(seq, z, 8)
+    for tol in (math.nan, math.inf, -1.0):
+        with pytest.raises(ParameterDomainError, match="tol"):
+            make_state(seq, 0.5, 8, tol)
 
 
 # -- observables --

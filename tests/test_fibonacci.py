@@ -424,13 +424,6 @@ def test_berg_shifted_convention_fails_calibration():
         berg_orthogonality(6, "shifted")
 
 
-def test_berg_double_precision_demonstrates_cancellation():
-    report = berg_orthogonality(6, "classical", precision="double")
-    assert report.dps is None
-    assert report.alpha == pytest.approx(1.618033988749895, rel=1e-12)
-    assert not report.passes(1e-8)
-
-
 def test_berg_validation():
     with pytest.raises(ParameterDomainError):
         berg_orthogonality(0)
@@ -438,8 +431,6 @@ def test_berg_validation():
         berg_orthogonality(17)
     with pytest.raises(ParameterDomainError):
         berg_orthogonality(6, "bogus")
-    with pytest.raises(ParameterDomainError):
-        berg_orthogonality(6, "classical", precision="single")
 
 
 def test_berg_smallest_table():
@@ -502,6 +493,12 @@ def test_nu_validation():
         nu_moments(-1, 2, 0.5)
     with pytest.raises(ParameterDomainError):
         nu_moments(0, 2, 0.5, K=0)
+    with pytest.raises(ParameterDomainError, match="K"):
+        nu_moments(0, 2, 0.5, K=2.5)  # was a TypeError
+    # e^(-n theta) overflows a double (was an uncaught OverflowError)
+    with pytest.raises(ParameterDomainError, match="theta"):
+        nu_moments(1, 2, -800.0, q=0.5, precision="double")
+    assert nu_moments(1, 2, -800.0, q=0.5, K=4).dps == 50  # extended precision evaluates it
     with pytest.raises(ParameterDomainError):
         nu_moments(0, 2, math.inf)
     with pytest.raises(ParameterDomainError):

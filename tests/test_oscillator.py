@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from defosc import (
     BandMatrix,
     DimensionError,
+    ParameterDomainError,
     build_operators,
     commutator,
     custom_sequence,
@@ -263,6 +264,25 @@ def test_verify_report_dict():
 def test_verify_rejects_small_dim():
     with pytest.raises(DimensionError):
         verify_algebra(make_sequence("harmonic"), 3)
+
+
+def test_verify_rejects_non_finite_or_negative_tol():
+    # tol = nan used to make every relation fail (CLI exit 3), not invalid input
+    for tol in (math.nan, math.inf, -1e-10):
+        with pytest.raises(ParameterDomainError, match="tol"):
+            verify_algebra(make_sequence("harmonic"), 8, tol)
+
+
+def test_nan_residual_fails_its_relation():
+    # max(0.0, nan) is 0.0, so folding band maxima with Python's max let a
+    # NaN coefficient pass every relation
+    seq = custom_sequence(lambda n: math.nan if n == 3 else 1.0)
+    report = verify_algebra(seq, 8)
+    assert not report.passed
+    assert all(math.isnan(r.interior_residual) for r in report.relations if not r.passed)
+    m = BandMatrix(4, {0: [0.0, 1.0, math.nan, 2.0], 1: [5.0, 0.0, 0.0]})
+    assert math.isnan(m.max_abs()) and math.isnan(m.edge_max_abs(2))
+    assert m.max_abs(skip_edge=2) == 5.0
 
 
 def test_algebra_is_gauge_invariant():

@@ -102,7 +102,7 @@ def test_q_jacobi_coefficients_exact_in_fractions():
     ab = a * b
     polys = [little_q_jacobi_coeffs(n, a, b, q) for n in range(7)]
     assert polys[0] == [1]
-    assert all(isinstance(c, Fraction) for p in polys[1:] for c in p)
+    assert all(isinstance(c, Fraction) for p in polys for c in p)
     assert all(p[0] == 1 for p in polys)
     padded = [p + [0] * (8 - len(p)) for p in polys]
     for n in range(2, 6):
@@ -224,6 +224,20 @@ def test_series_divergence_detected():
     spec = HyperSeriesSpec(numerator=(3.0,), denominator=(), q=0.5, z=1.5)
     with pytest.raises(DivergenceError):
         basic_hypergeometric(spec)
+
+
+def test_series_does_not_stop_on_a_growing_term():
+    # near q = -1 every second term ratio is > 1; terms 5 and 6 are both
+    # below tol, but term 6 grew, so stopping there (value 1.0158876943...,
+    # 2e-9 off) would rest on a tail estimate that is not a bound
+    spec = HyperSeriesSpec((1.9,), (-1.7, -0.2, -1.6), q=-0.95, z=0.05, tol=1e-6)
+    result = basic_hypergeometric(spec)
+    assert result.value == pytest.approx(1.015887696536414200998873, rel=1e-14)  # mpmath, 40 digits
+    assert result.tail_estimate < 1e-15
+    # a 2phi0 diverges for every z != 0 (|t_k| grows like |q|^(-k^2/2)),
+    # however small its first terms are
+    with pytest.raises(DivergenceError):
+        basic_hypergeometric(HyperSeriesSpec((1.8, 1.5), (), q=-0.86, z=-0.125, tol=1e-6))
 
 
 def test_series_exhaustion_detected():

@@ -121,6 +121,21 @@ def test_laguerre_alpha_domain():
         make_sequence("laguerre", {"alpha": -1.0})
 
 
+def test_non_finite_family_parameters_rejected():
+    # laguerre alpha = inf built a sequence that verify passed and classify
+    # called Finite; ismail-theta alpha = inf or nan failed in int()
+    cases = [
+        ("laguerre", {"alpha": math.inf}, "alpha"),
+        ("ismail-theta", {"theta": 0.5, "alpha": math.inf}, "alpha"),
+        ("ismail-theta", {"theta": 0.5, "alpha": math.nan}, "alpha"),
+        ("ismail-theta", {"theta": math.inf}, "theta"),
+        ("little-q-jacobi", {"a": 0.5, "b": 0.5, "q": math.nan}, "'q'"),
+    ]
+    for name, params, arg in cases:
+        with pytest.raises(ParameterDomainError, match=arg):
+            make_sequence(name, params)
+
+
 def test_fibonacci_golden_matches_q_jacobi_at_golden_point():
     seq = make_sequence("fibonacci-golden")
     ref = make_sequence("little-q-jacobi", {"a": GOLDEN_Q, "b": 1.0, "q": GOLDEN_Q})
