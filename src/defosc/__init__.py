@@ -24,7 +24,6 @@ from .classifier import (
 from .coherent import (
     CoherentState,
     eigen_residual,
-    generalized_factorial,
     make_state,
     normalization,
     uncertainty,
@@ -52,7 +51,6 @@ from .fibonacci import (
     GoldenNumber,
     MomentFunctional,
     NuMomentResult,
-    berg_moment,
     berg_moment_classical,
     berg_orthogonality,
     calibrate_affine,
@@ -80,7 +78,6 @@ from .qseries import (
     HyperSeriesSpec,
     basic_hypergeometric,
     little_q_jacobi,
-    multi_pochhammer,
     q_pochhammer,
 )
 from .recurrence import (
@@ -95,7 +92,6 @@ from .recurrence import (
     get_family,
     little_q_jacobi_monic_coeffs,
     make_sequence,
-    orthonormalize,
 )
 
 __version__ = "0.1.0"
@@ -109,7 +105,6 @@ __all__ = [
     "ParamSpec",
     "FamilySpec",
     "little_q_jacobi_monic_coeffs",
-    "orthonormalize",
     "evaluate_polynomial",
     "custom_sequence",
     "family_names",
@@ -117,7 +112,6 @@ __all__ = [
     "make_sequence",
     # qseries
     "q_pochhammer",
-    "multi_pochhammer",
     "little_q_jacobi",
     "HyperSeriesSpec",
     "HyperSeriesResult",
@@ -140,7 +134,6 @@ __all__ = [
     "classify",
     # coherent
     "CoherentState",
-    "generalized_factorial",
     "normalization",
     "make_state",
     "eigen_residual",
@@ -161,7 +154,6 @@ __all__ = [
     "exact_inverse",
     "exact_matmul",
     "is_integer_matrix",
-    "berg_moment",
     "berg_moment_classical",
     "MomentFunctional",
     "calibrate_affine",

@@ -199,6 +199,11 @@ def _ismail_n(n: int) -> None:
         raise DefoscError(f"n must be in 1..200, got {n}")
 
 
+def _tolerance(tol: float) -> None:
+    if not 0.0 <= tol < math.inf:
+        raise DefoscError(f"tol must be finite and >= 0, got {tol}")
+
+
 def _param_value(raw: str, q_value: float | None, flag: str) -> float:
     if raw == "golden":
         return recurrence.GOLDEN_Q
@@ -496,7 +501,7 @@ COMMANDS: dict[str, Command] = {
         (
             Option("theta", default="theta0", help="deformation parameter (number or theta0)"),
             Option("n", int, 30, "largest index", check=_ismail_n),
-            Option("tol", float, 1e-12, "relative tolerance"),
+            Option("tol", float, 1e-12, "relative tolerance", check=_tolerance),
             *_output_options(),
         ),
         ("n", "closed_form", "recurrence", "rel_diff", "fib_value", "fib_rel_diff"),
@@ -512,7 +517,7 @@ COMMANDS: dict[str, Command] = {
         "moment-functional orthogonality table",
         (
             Option("nmax", int, 6, "largest polynomial degree"),
-            Option("tol", float, 1e-8, "off-diagonal tolerance"),
+            Option("tol", float, 1e-8, "off-diagonal tolerance", check=_tolerance),
             *_output_options(),
         ),
         ("m", "n", "normalized_gram"),

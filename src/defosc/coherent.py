@@ -32,7 +32,6 @@ from .recurrence import CoefficientSequence
 
 __all__ = [
     "CoherentState",
-    "generalized_factorial",
     "normalization",
     "make_state",
     "eigen_residual",
@@ -43,54 +42,18 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-def generalized_factorial(seq: CoefficientSequence, n: int) -> float:
-    """prod_{k=0}^{n-1} sqrt(2) b_k; empty product 1 for n = 0.
-
-    The squared value is the denominator of the n-th normalization term.
-    """
-    if n < 0:
-        raise ParameterDomainError(f"n must be >= 0, got {n}")
-    out = 1.0
-    for k in range(n):
-        b_k = seq.b(k)
-        if b_k == 0.0:
-            raise ZeroCoefficientError(
-                f"b_{k} = 0: levels above {k} are unreachable, factorial undefined"
-            )
-        out *= _SQRT2 * b_k
-    return out
-
-
 def normalization(
-    seq: CoefficientSequence,
-    r2: float,
-    tol: float = 1e-12,
-    max_terms: int = 10000,
-    n_terms: int | None = None,
+    seq: CoefficientSequence, r2: float, tol: float = 1e-12, max_terms: int = 10000
 ) -> float:
-    """N(r2) = sum_n r2^n / prod_{k<n} 2 b_k^2.
+    """N(r2) = sum_n r2^n / prod_{k<n} 2 b_k^2 for a convergent series.
 
-    With n_terms given, returns exactly that partial sum (no convergence
-    requirement) so independent summation routes can be compared at matched
-    depth.  Otherwise the series must converge: the term ratios
-    r2 / (2 b_m^2) of its first max_terms terms go to
+    The term ratios r2 / (2 b_m^2) of its first max_terms terms go to
     qseries.sum_ratio_series, whose stopping rule and DivergenceError every
-    series of the package shares.
+    series of the package shares.  A partial sum at a fixed depth is the
+    norm_constant of make_state(seq, sqrt(r2), depth, strict=False).
     """
     if not 0.0 <= r2 < math.inf:
         raise ParameterDomainError(f"r2 must be finite and >= 0, got {r2}")
-    if n_terms is not None:
-        if n_terms < 1:
-            raise ParameterDomainError(f"n_terms must be >= 1, got {n_terms}")
-        total, term = 0.0, 1.0
-        for m in range(n_terms):
-            if m > 0:
-                denom = 2.0 * seq.b_squared(m - 1)
-                if denom == 0.0:
-                    raise ZeroCoefficientError(f"b_{m - 1} = 0: term {m} undefined")
-                term *= r2 / denom
-            total += term
-        return total
     if r2 == 0.0:
         return 1.0
 
@@ -137,9 +100,9 @@ def make_state(
     """Build |z> truncated at `dim` levels.
 
     In the convergent regime a tail_bound above tol raises TruncationError
-    carrying a suggested dimension (unless strict=False, which returns the
-    state flagged instead).  In the divergent regime no truncation error is
-    possible: every finite section is exact.
+    carrying a suggested dimension, None if no finite one meets tol (unless
+    strict=False, which returns the state flagged instead).  In the divergent
+    regime no truncation error is possible: every finite section is exact.
     """
     if dim < 2:
         raise DimensionError(f"dim must be >= 2, got {dim}")
@@ -191,9 +154,12 @@ def make_state(
     tail_scaled = edge_sq * ratios[0] / (1.0 - rho)
     tail_bound = tail_scaled / (sum_sq + tail_scaled)
     if strict and tail_bound > tol:
-        # extra levels needed for the geometric tail to drop below tol
-        extra = math.log(tol * sum_sq * (1.0 - rho) / (edge_sq * ratios[0])) / math.log(rho)
-        suggested = dim + max(2, math.ceil(extra))
+        # extra levels needed for the geometric tail to drop below tol; no
+        # finite dimension reaches tol = 0
+        target = tol * sum_sq * (1.0 - rho) / (edge_sq * ratios[0])
+        suggested = None
+        if target > 0.0:
+            suggested = dim + max(2, math.ceil(math.log(target) / math.log(rho)))
         raise TruncationError(
             f"tail bound {tail_bound:.3g} exceeds tol {tol:.3g} at dim {dim}",
             suggested_dim=suggested,

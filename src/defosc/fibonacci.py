@@ -8,11 +8,12 @@ Two indexing conventions coexist on purpose:
 
 The reciprocal-Fibonacci (Filbert) matrix inverse is integer valued in the
 classical convention, and the classical reciprocals 1/F_{k+2} = 1, 1/2, 1/3,
-1/5, ... are the moment sequence whose Hankel functional orthogonalizes the
-golden little q-Jacobi polynomials after the affine calibration computed here
-(the calibration scale comes out as the golden ratio).  Both reciprocal
-sequences are exposed; berg_moment follows the first convention, only
-berg_moment_classical admits a real calibration.
+1/5, ... (berg_moment_classical) are the moment sequence whose Hankel
+functional orthogonalizes the golden little q-Jacobi polynomials after the
+affine calibration computed here (the calibration scale comes out as the
+golden ratio; C. Berg, "Fibonacci numbers and orthogonal polynomials", 2011).
+The reciprocals 1/2, 1/3, 1/5, ... of the first convention admit no real
+calibration (alpha^2 < 0), so the Berg table uses the classical moments only.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ __all__ = [
     "exact_inverse",
     "exact_matmul",
     "is_integer_matrix",
-    "berg_moment",
     "berg_moment_classical",
     "MomentFunctional",
     "calibrate_affine",
@@ -533,13 +533,6 @@ def is_integer_matrix(m: Sequence[Sequence[Fraction]]) -> bool:
 # -- Berg moments and the Hankel moment functional ------------------------------
 
 
-def berg_moment(n: int) -> Fraction:
-    """1/F_{n+2} in the F_0 = F_1 = 1 convention: 1/2, 1/3, 1/5, 1/8, ..."""
-    if n < 0:
-        raise ParameterDomainError(f"n must be >= 0, got {n}")
-    return Fraction(1, fib(n + 2))
-
-
 def berg_moment_classical(n: int) -> Fraction:
     """1/F_{n+2} in the classical convention: 1, 1/2, 1/3, 1/5, ..."""
     if n < 0:
@@ -640,7 +633,6 @@ def calibrate_affine(
 class BergReport:
     """Calibrated Gram table of the reciprocal-Fibonacci moment functional."""
 
-    convention: str
     n_max: int
     alpha: float
     beta: float
@@ -655,7 +647,7 @@ class BergReport:
 
     def to_dict(self) -> dict:
         return {
-            "convention": self.convention,
+            "convention": "classical",
             "n_max": self.n_max,
             "alpha": self.alpha,
             "beta": self.beta,
@@ -670,32 +662,24 @@ class BergReport:
 _BERG_DPS = 50
 
 
-def berg_orthogonality(n_max: int = 6, convention: str = "classical") -> BergReport:
+def berg_orthogonality(n_max: int = 6) -> BergReport:
     """Gram table L(p_m p_n) of golden-base little q-Jacobi polynomials.
 
-    Moments are the exact reciprocal Fibonacci numbers; everything after
-    them runs in mpmath at 50 digits (reported as dps): the affine map
-    x -> alpha x + beta is calibrated from L(p_1) = L(p_2) = 0, then the
-    table is formed.  Off-diagonal entries are reported normalized by
-    sqrt(L(p_m^2) L(p_n^2)).
+    Moments are the exact classical reciprocal Fibonacci numbers
+    (berg_moment_classical); everything after them runs in mpmath at 50
+    digits (reported as dps): the affine map x -> alpha x + beta is
+    calibrated from L(p_1) = L(p_2) = 0, then the table is formed.
+    Off-diagonal entries are reported normalized by sqrt(L(p_m^2) L(p_n^2)).
     """
     if not (1 <= n_max <= 16):
         raise ParameterDomainError(f"n_max must be in 1..16, got {n_max}")
-    if convention == "classical":
-        moment_fn = berg_moment_classical
-    elif convention == "shifted":
-        moment_fn = berg_moment
-    else:
-        raise ParameterDomainError(
-            f"convention must be 'classical' or 'shifted', got {convention!r}"
-        )
 
     with mpmath.workdps(_BERG_DPS):
         sqrt5 = mpmath.sqrt(5)
         q = (1 - sqrt5) / (1 + sqrt5)
         moments = [
-            mpmath.mpf(moment_fn(k).numerator) / mpmath.mpf(moment_fn(k).denominator)
-            for k in range(2 * n_max + 1)
+            mpmath.mpf(mu.numerator) / mpmath.mpf(mu.denominator)
+            for mu in map(berg_moment_classical, range(2 * n_max + 1))
         ]
         base = MomentFunctional(moments)
         # the calibration needs p_1 and p_2 even when the table stops at n_max = 1
@@ -719,7 +703,6 @@ def berg_orthogonality(n_max: int = 6, convention: str = "classical") -> BergRep
                 max_off = max(max_off, val)
             rows.append(tuple(row))
         return BergReport(
-            convention,
             n_max,
             float(alpha),
             float(beta),

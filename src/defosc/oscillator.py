@@ -37,7 +37,6 @@ __all__ = [
     "commutator",
     "verify_algebra",
     "matrix_to_json",
-    "matrix_csv_rows",
 ]
 
 
@@ -124,12 +123,6 @@ class BandMatrix:
             else:
                 out[-o:] += vals * v[: self.dim + o]
         return out * 1j if self.imaginary else out
-
-    def transpose(self) -> "BandMatrix":
-        # k = min(i, j) indexing makes transposition a pure offset flip
-        return BandMatrix(
-            self.dim, {-o: v for o, v in self.bands.items()}, self.kind, self.imaginary
-        )
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -368,15 +361,3 @@ def matrix_to_json(m: BandMatrix) -> dict:
         out["dense"] = [[float(v) for v in row] for row in real]
     return out
 
-
-def matrix_csv_rows(m: BandMatrix):
-    """Yield (row, col, value) triplets of the stored real band data.
-
-    For a matrix with the imaginary flag the represented entry is i*value;
-    only P is stored that way.
-    """
-    for o in sorted(m.bands):
-        vals = m.bands[o]
-        i0, j0 = (0, o) if o >= 0 else (-o, 0)
-        for k, v in enumerate(vals):
-            yield i0 + k, j0 + k, float(v)

@@ -8,6 +8,7 @@ always consumed through their real pairwise products.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -15,7 +16,6 @@ from .errors import DegenerateParameterError, DivergenceError, ParameterDomainEr
 
 __all__ = [
     "q_pochhammer",
-    "multi_pochhammer",
     "little_q_jacobi_coeffs",
     "little_q_jacobi",
     "HyperSeriesSpec",
@@ -55,14 +55,6 @@ def q_pochhammer(a: float, q: float, n: int | float | None) -> float:
     for _ in range(n):
         result = result * (1 - a * power)
         power = power * q
-    return result
-
-
-def multi_pochhammer(values: tuple[float, ...], q: float, n: int | float | None) -> float:
-    """(a_1, ..., a_r; q)_n = prod_i (a_i; q)_n."""
-    result = 1.0
-    for a in values:
-        result *= q_pochhammer(a, q, n)
     return result
 
 
@@ -121,8 +113,8 @@ class HyperSeriesSpec:
     def __post_init__(self) -> None:
         if not (0.0 < abs(self.q) < 1.0):
             raise ParameterDomainError(f"require 0 < |q| < 1, got q={self.q}")
-        if self.tol <= 0.0:
-            raise ParameterDomainError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ParameterDomainError(f"tol must be finite and positive, got {self.tol}")
         if self.max_terms < 1:
             raise ParameterDomainError(f"max_terms must be >= 1, got {self.max_terms}")
 
@@ -210,8 +202,8 @@ def generalized_factorial_closed(a: float, b: float, q: float, n: int) -> float:
         2^n a^n q^(n^2) (aq;q)_n (abq;q)_n (q;q)_n (bq;q)_n
         / ((abq;q)_{2n} (abq^2;q)_{2n}),
 
-    an independent route to the same product the coherent-state module
-    accumulates from A_k C_{k+1} factors.
+    an independent route to the product of the factors 2 A_k C_{k+1} that
+    make_sequence("little-q-jacobi", ...).b_squared gives one at a time.
     """
     if n < 0:
         raise ParameterDomainError(f"n must be >= 0, got {n}")
@@ -238,10 +230,13 @@ def normalization_series_closed(
 ) -> float:
     """Partial sum sum_{m<n_terms} r2^m / prod_{k<m}(2 b_k^2), closed-form route.
 
-    Cross-check path for the coherent-state normalization: each coefficient
-    comes from generalized_factorial_closed rather than from numerically
-    accumulated recurrence products.  May overflow to inf for decaying b_k
-    at large n_terms; callers compare partial sums at a safe depth.
+    Cross-check of coherent.make_state, whose norm_constant at dim n_terms is
+    the same partial sum accumulated in log space from the recurrence
+    coefficients; here each product comes from generalized_factorial_closed.
+    A product below the smallest normal float (a = b = 0.5, n_terms = 24 and
+    q <= 0.25, say) would divide by zero or lose digits, so it raises
+    ParameterDomainError naming m.  May overflow to inf for decaying b_k at
+    large n_terms; callers compare partial sums at a safe depth.
     """
     if n_terms < 1:
         raise ParameterDomainError(f"n_terms must be >= 1, got {n_terms}")
@@ -249,5 +244,10 @@ def normalization_series_closed(
         raise ParameterDomainError(f"r2 must be >= 0, got {r2}")
     total = 0.0
     for m in range(n_terms):
-        total += r2**m / generalized_factorial_closed(a, b, q, m)
+        product = generalized_factorial_closed(a, b, q, m)
+        if abs(product) < sys.float_info.min:
+            raise ParameterDomainError(
+                f"prod_(k<{m}) 2 b_k^2 = {product} underflows at m={m}, q={q}"
+            )
+        total += r2**m / product
     return total

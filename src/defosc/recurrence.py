@@ -34,7 +34,6 @@ __all__ = [
     "ParamSpec",
     "FamilySpec",
     "little_q_jacobi_monic_coeffs",
-    "orthonormalize",
     "evaluate_polynomial",
     "custom_sequence",
     "get_family",
@@ -87,36 +86,6 @@ def little_q_jacobi_monic_coeffs(p: QParams, n: int) -> tuple[float, float]:
     return a_num / a_den, c_num / c_den
 
 
-def orthonormalize(p: QParams, n: int) -> tuple[float, float, float]:
-    """Return (a_n, b_{n-1}, gamma_n) for the orthonormalized family.
-
-    gamma_n = sqrt(C_1 ... C_n / (A_0 ... A_{n-1})) rescales the monic-form
-    polynomials onto the orthonormal ones, p_n = +-gamma_n psi_n.  Both
-    b_{n-1} and gamma_n are returned in the positive gauge.
-    """
-    A_n, C_n = little_q_jacobi_monic_coeffs(p, n)
-    a_n = A_n + C_n
-    if n == 0:
-        return a_n, 0.0, 1.0
-    b_sq = little_q_jacobi_monic_coeffs(p, n - 1)[0] * C_n
-    if b_sq < 0.0:
-        raise NonPositiveDefiniteError(
-            f"A_{n-1}*C_{n} = {b_sq} < 0: parameters do not define a real oscillator"
-        )
-    gamma_sq = 1.0
-    for k in range(1, n + 1):
-        C_k = little_q_jacobi_monic_coeffs(p, k)[1]
-        A_km1 = little_q_jacobi_monic_coeffs(p, k - 1)[0]
-        if A_km1 == 0.0:
-            raise DegenerateParameterError(f"A_{k-1} = 0: gamma_{n} undefined")
-        gamma_sq *= C_k / A_km1
-    if gamma_sq < 0.0:
-        raise NonPositiveDefiniteError(
-            f"gamma_{n}^2 = {gamma_sq} < 0: parameters do not define a real oscillator"
-        )
-    return a_n, math.sqrt(b_sq), math.sqrt(gamma_sq)
-
-
 class CoefficientSequence:
     """Memoized recurrence coefficients a_n, b_n of one family instance."""
 
@@ -126,11 +95,9 @@ class CoefficientSequence:
         params: dict,
         a_fn: Callable[[int], float],
         b_fn: Callable[[int], float],
-        symmetric: bool,
     ):
         self.family_id = family_id
         self.params = dict(params)
-        self.symmetric = symmetric
         self._a_fn = a_fn
         self._b_fn = b_fn
         self._a_cache: dict[int, float] = {}
@@ -180,16 +147,11 @@ def custom_sequence(
     a_fn: Callable[[int], float] | None = None,
     family_id: str = "custom",
     params: dict | None = None,
-    symmetric: bool | None = None,
 ) -> CoefficientSequence:
     """Wrap raw callables as a sequence (no positivity check, for tests and fits)."""
     if a_fn is None:
         a_fn = lambda n: 0.0
-        if symmetric is None:
-            symmetric = True
-    if symmetric is None:
-        symmetric = False
-    return CoefficientSequence(family_id, params or {}, a_fn, b_fn, symmetric)
+    return CoefficientSequence(family_id, params or {}, a_fn, b_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +187,7 @@ class FamilySpec:
 
 
 def _harmonic() -> CoefficientSequence:
-    return CoefficientSequence(
-        "harmonic", {}, lambda n: 0.0, lambda n: math.sqrt((n + 1) / 2.0), True
-    )
+    return CoefficientSequence("harmonic", {}, lambda n: 0.0, lambda n: math.sqrt((n + 1) / 2.0))
 
 
 def _chebyshev_t() -> CoefficientSequence:
@@ -236,12 +196,11 @@ def _chebyshev_t() -> CoefficientSequence:
         {},
         lambda n: 0.0,
         lambda n: 1.0 / math.sqrt(2.0) if n == 0 else 0.5,
-        True,
     )
 
 
 def _chebyshev_u() -> CoefficientSequence:
-    return CoefficientSequence("chebyshev-u", {}, lambda n: 0.0, lambda n: 0.5, True)
+    return CoefficientSequence("chebyshev-u", {}, lambda n: 0.0, lambda n: 0.5)
 
 
 def _laguerre(alpha: float = 0.0) -> CoefficientSequence:
@@ -252,7 +211,6 @@ def _laguerre(alpha: float = 0.0) -> CoefficientSequence:
         {"alpha": alpha},
         lambda n: 2.0 * n + alpha + 1.0,
         lambda n: math.sqrt((n + 1.0) * (n + alpha + 1.0)),
-        False,
     )
 
 
@@ -274,7 +232,7 @@ def _little_q_jacobi_seq(
             )
         return scale * math.sqrt(b_sq)
 
-    return CoefficientSequence(family_id, params, a_fn, b_fn, False)
+    return CoefficientSequence(family_id, params, a_fn, b_fn)
 
 
 def _little_q_jacobi(a: float, b: float, q: float) -> CoefficientSequence:

@@ -21,7 +21,7 @@ from defosc import (
     verify_algebra,
 )
 from defosc.cli import main as cli_main
-from defosc.coherent import eigen_residual, make_state, normalization, uncertainty
+from defosc.coherent import eigen_residual, make_state, uncertainty
 from defosc.fibonacci import (
     THETA0,
     berg_orthogonality,
@@ -101,13 +101,13 @@ def test_coherent_states():
         state = make_state(golden, z, 64)
         assert eigen_residual(state, golden) < 1e-8
 
-    # direct series vs the q-Pochhammer closed-form route, matched depth
+    # the state's partial normalization sum vs the q-Pochhammer closed form
     for a, b, q, r2 in (
         (GOLDEN_Q, 1.0, GOLDEN_Q, 0.25),
         (0.5, 0.5, 0.5, 0.25),
     ):
         seq = make_sequence("little-q-jacobi", {"a": a, "b": b, "q": q})
-        direct = normalization(seq, r2, n_terms=24)
+        direct = make_state(seq, math.sqrt(r2), 24, strict=False).norm_constant
         closed = normalization_series_closed(a, b, q, r2, n_terms=24)
         assert closed == pytest.approx(direct, rel=1e-9)
 
@@ -138,7 +138,7 @@ def test_filbert_integrality():
 
 @pytest.mark.acceptance("6 Berg orthogonality: off-diagonal Gram < 1e-8, diagonal > 0")
 def test_berg_orthogonality():
-    report = berg_orthogonality(6, convention="classical")
+    report = berg_orthogonality(6)
     assert report.diagonal_positive
     assert all(d > 0.0 for d in report.diagonal)
     for row in report.normalized_off_diagonal:

@@ -121,6 +121,11 @@ def test_verify_invalid_inputs(capsys):
         (["verify", "--family", "harmonic", "--tol", "nan"], "tol"),
         (["classify", "--family", "harmonic", "--tol", "nan"], "tol"),
         (["coherent", "--family", "harmonic", "--z", "0.5", "--tol", "-1"], "tol"),
+        # were exit 3, and exit 0 with passed: true for fib berg --tol inf
+        (["fib", "ismail", "--tol", "nan"], "tol"),
+        (["fib", "ismail", "--tol", "-1"], "tol"),
+        (["fib", "berg", "--tol", "nan"], "tol"),
+        (["fib", "berg", "--tol", "inf"], "tol"),
     ],
 )
 def test_non_finite_input_exits_2(capsys, argv, named):

@@ -16,7 +16,6 @@ from defosc import (
 )
 from defosc.coherent import (
     eigen_residual,
-    generalized_factorial,
     make_state,
     normalization,
     state_to_dict,
@@ -27,21 +26,21 @@ from defosc.coherent import (
 # -- deformed factorial --
 
 def test_factorial_base_cases():
+    # make_state accumulates prod_{k<n} sqrt(2) b_k in log space; at |z| = 1
+    # |c_0 / c_n|^2 is that product squared, which telescopes to n! here
     seq = make_sequence("harmonic")
-    assert generalized_factorial(seq, 0) == 1.0
-    assert generalized_factorial(seq, 1) == pytest.approx(1.0, rel=1e-15)
-    # squared product telescopes to n!
+    st = make_state(seq, 1.0, 10, strict=False)
     for n in range(10):
-        assert generalized_factorial(seq, n) ** 2 == pytest.approx(
+        assert abs(st.coeffs[0] / st.coeffs[n]) ** 2 == pytest.approx(
             math.factorial(n), rel=1e-13
         )
 
 
 def test_factorial_rejects_zero_coefficient():
+    # b_3 = 0: level 4 is unreachable, so the product up to level 4 is undefined
     seq = custom_sequence(lambda n: 0.0 if n == 3 else 1.0)
-    with pytest.raises(ZeroCoefficientError):
-        generalized_factorial(seq, 5)
-    assert generalized_factorial(seq, 3) == pytest.approx(2.0 * math.sqrt(2.0))
+    with pytest.raises(ZeroCoefficientError, match="b_3 = 0"):
+        make_state(seq, 0.5, 5, strict=False)
 
 
 # -- normalization series --
@@ -55,8 +54,9 @@ def test_harmonic_normalization_is_exponential():
 def test_normalization_partial_sum_matches_explicit_route():
     seq = make_sequence("harmonic")
     r2 = 0.49
-    explicit = sum(r2**n / generalized_factorial(seq, n) ** 2 for n in range(30))
-    assert normalization(seq, r2, n_terms=30) == pytest.approx(explicit, rel=1e-11)
+    explicit = sum(r2**n / math.factorial(n) for n in range(30))
+    partial = make_state(seq, math.sqrt(r2), 30, strict=False).norm_constant
+    assert partial == pytest.approx(explicit, rel=1e-11)
     # 30 terms of the exponential series carry a tail below 1e-12 here
     assert normalization(seq, r2) == pytest.approx(explicit, rel=1e-11)
 
@@ -65,19 +65,15 @@ def test_normalization_divergence_detected():
     golden = make_sequence("fibonacci-golden")
     with pytest.raises(DivergenceError):
         normalization(golden, 0.09)
-    # the fixed-depth mode has no convergence requirement
-    assert math.isfinite(normalization(golden, 0.09, n_terms=24))
+    # a partial sum at fixed depth has no convergence requirement
+    assert math.isfinite(make_state(golden, 0.3, 24).norm_constant)
 
 
 def test_normalization_validation():
     seq = make_sequence("harmonic")
     with pytest.raises(Exception):
         normalization(seq, -1.0)
-    with pytest.raises(Exception):
-        normalization(seq, 0.5, n_terms=0)
     bad = custom_sequence(lambda n: 0.0 if n == 2 else 1.0)
-    with pytest.raises(ZeroCoefficientError):
-        normalization(bad, 0.5, n_terms=10)
     with pytest.raises(ZeroCoefficientError):
         normalization(bad, 0.5)
     for r2 in (math.nan, math.inf):
@@ -173,6 +169,15 @@ def test_make_state_validation():
     for tol in (math.nan, math.inf, -1.0):
         with pytest.raises(ParameterDomainError, match="tol"):
             make_state(seq, 0.5, 8, tol)
+
+
+def test_truncation_error_without_finite_suggestion():
+    # no finite dim meets tol = 0; the strict default was a bare math domain error
+    seq = make_sequence("harmonic")
+    with pytest.raises(TruncationError) as exc:
+        make_state(seq, 3.0, 16, tol=0.0)
+    assert exc.value.suggested_dim is None
+    assert make_state(seq, 3.0, 16, tol=0.0, strict=False).tail_bound > 0.0
 
 
 # -- observables --

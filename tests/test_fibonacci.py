@@ -20,7 +20,6 @@ from defosc.fibonacci import (
     THETA0,
     GoldenNumber,
     MomentFunctional,
-    berg_moment,
     berg_moment_classical,
     berg_orthogonality,
     calibrate_affine,
@@ -35,6 +34,7 @@ from defosc.fibonacci import (
     is_integer_matrix,
     nu_moments,
 )
+from defosc.qseries import little_q_jacobi_coeffs
 
 
 # -- integer Fibonacci routes --
@@ -334,12 +334,6 @@ def test_is_integer_matrix():
 # -- moment functional --
 
 def test_berg_moments_frozen():
-    assert [berg_moment(n) for n in range(4)] == [
-        Fraction(1, 2),
-        Fraction(1, 3),
-        Fraction(1, 5),
-        Fraction(1, 8),
-    ]
     assert [berg_moment_classical(n) for n in range(5)] == [
         Fraction(1),
         Fraction(1, 2),
@@ -348,7 +342,7 @@ def test_berg_moments_frozen():
         Fraction(1, 8),
     ]
     with pytest.raises(ParameterDomainError):
-        berg_moment(-1)
+        berg_moment_classical(-1)
 
 
 def test_functional_moment_access():
@@ -407,7 +401,7 @@ def test_calibrate_affine_error_paths():
 # -- Berg orthogonality --
 
 def test_berg_classical_calibrates_to_golden_ratio():
-    report = berg_orthogonality(6, "classical")
+    report = berg_orthogonality(6)
     assert report.alpha == pytest.approx(1.618033988749895, rel=1e-12)
     assert abs(report.beta) < 1e-12
     assert report.diagonal_positive
@@ -419,9 +413,12 @@ def test_berg_classical_calibrates_to_golden_ratio():
 
 
 def test_berg_shifted_convention_fails_calibration():
-    # the F_0 = F_1 = 1 moments make alpha^2 negative
-    with pytest.raises(CalibrationError):
-        berg_orthogonality(6, "shifted")
+    # the F_0 = F_1 = 1 reciprocals 1/2, 1/3, 1/5, ... make alpha^2 negative,
+    # which is why the Berg table uses the classical moments only
+    shifted = MomentFunctional([Fraction(1, fib(k + 2)) for k in range(3)])
+    p1, p2 = (little_q_jacobi_coeffs(n, GOLDEN_Q, 1.0, GOLDEN_Q) for n in (1, 2))
+    with pytest.raises(CalibrationError, match="alpha\\^2 = -4.9088"):
+        calibrate_affine(shifted, p1, p2)
 
 
 def test_berg_validation():
@@ -429,8 +426,6 @@ def test_berg_validation():
         berg_orthogonality(0)
     with pytest.raises(ParameterDomainError):
         berg_orthogonality(17)
-    with pytest.raises(ParameterDomainError):
-        berg_orthogonality(6, "bogus")
 
 
 def test_berg_smallest_table():
@@ -445,7 +440,7 @@ def test_berg_smallest_table():
 
 
 def test_berg_report_dict():
-    d = berg_orthogonality(3, "classical").to_dict()
+    d = berg_orthogonality(3).to_dict()
     assert d["convention"] == "classical"
     assert d["n_max"] == 3
     assert d["diagonal_positive"] is True

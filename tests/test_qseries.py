@@ -16,14 +16,13 @@ from defosc import (
     little_q_jacobi_monic_coeffs,
     make_sequence,
 )
-from defosc.coherent import normalization
+from defosc.coherent import make_state
 from defosc.qseries import (
     HyperSeriesSpec,
     basic_hypergeometric,
     generalized_factorial_closed,
     little_q_jacobi,
     little_q_jacobi_coeffs,
-    multi_pochhammer,
     normalization_series_closed,
     q_pochhammer,
 )
@@ -74,15 +73,6 @@ def test_pochhammer_splitting_identity(a, q, flip, m, n):
     whole = q_pochhammer(a, q, m + n)
     split = q_pochhammer(a, q, m) * q_pochhammer(a * q**m, q, n)
     assert whole == pytest.approx(split, rel=1e-12, abs=1e-12)
-
-
-def test_multi_pochhammer_is_product():
-    values = (0.3, -0.7, 1.2)
-    direct = 1.0
-    for v in values:
-        direct *= q_pochhammer(v, 0.5, 6)
-    assert multi_pochhammer(values, 0.5, 6) == pytest.approx(direct, rel=1e-15)
-    assert multi_pochhammer((), 0.5, 6) == 1.0
 
 
 # -- little q-Jacobi explicit sum --
@@ -260,6 +250,10 @@ def test_spec_validation():
         HyperSeriesSpec(numerator=(), denominator=(), q=0.0, z=0.5)
     with pytest.raises(ParameterDomainError):
         HyperSeriesSpec(numerator=(), denominator=(), q=0.5, z=0.5, tol=0.0)
+    # tol = nan ran on to a DivergenceError, tol = inf stopped with tail 1.78
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ParameterDomainError, match="tol"):
+            HyperSeriesSpec(numerator=(0.3,), denominator=(), q=0.5, z=0.6, tol=tol)
     with pytest.raises(ParameterDomainError):
         HyperSeriesSpec(numerator=(), denominator=(), q=0.5, z=0.5, max_terms=0)
 
@@ -292,5 +286,14 @@ def test_generalized_factorial_closed_rejects_negative_n():
 def test_normalization_partial_sums_agree_across_modules(a, b, q, r2):
     seq = make_sequence("little-q-jacobi", {"a": a, "b": b, "q": q})
     closed = normalization_series_closed(a, b, q, r2, n_terms=24)
-    direct = normalization(seq, r2, n_terms=24)
+    direct = make_state(seq, math.sqrt(r2), 24, strict=False).norm_constant
     assert closed == pytest.approx(direct, rel=1e-9)
+
+
+@pytest.mark.parametrize("q, m", [(0.1, 18), (0.25, 23)])
+def test_normalization_series_closed_rejects_underflowing_product(q, m):
+    # q = 0.1 divided by a product that underflowed to 0.0; at q = 0.25 the
+    # product was subnormal and the sum lost about 1e-5 of relative accuracy
+    with pytest.raises(ParameterDomainError, match=f"m={m},"):
+        normalization_series_closed(0.5, 0.5, q, 0.25, 24)
+    assert math.isfinite(normalization_series_closed(0.5, 0.5, q, 0.25, m))

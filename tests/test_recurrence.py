@@ -21,7 +21,6 @@ from defosc import (
     get_family,
     little_q_jacobi_monic_coeffs,
     make_sequence,
-    orthonormalize,
 )
 from defosc.qseries import q_pochhammer
 
@@ -90,7 +89,6 @@ def test_harmonic_coefficients():
     assert seq.a(17) == 0.0
     assert seq.b(0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
     assert seq.b(3) == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    assert seq.symmetric
 
 
 def test_chebyshev_coefficients():
@@ -113,7 +111,6 @@ def test_laguerre_coefficients():
     half = make_sequence("laguerre", {"alpha": 0.5})
     assert half.a(1) == 3.5
     assert half.b_squared(2) == pytest.approx(3.0 * 3.5, rel=1e-15)
-    assert not half.symmetric
 
 
 def test_laguerre_alpha_domain():
@@ -179,17 +176,28 @@ def test_degenerate_parameters_raise():
 
 
 def test_orthonormalize_rejects_indefinite_parameters():
-    with pytest.raises(NonPositiveDefiniteError):
-        orthonormalize(QParams(-0.5, 0.5, 0.5), 1)
+    # A_0 C_1 < 0: the sequence refuses b_0 rather than taking a complex root
+    seq = make_sequence("little-q-jacobi", {"a": -0.5, "b": 0.5, "q": 0.5})
+    with pytest.raises(NonPositiveDefiniteError, match="A_0\\*C_1"):
+        seq.b(0)
 
 
 def test_orthonormalize_base_case():
     p = QParams(0.5, 0.5, 0.5)
-    a0, b_prev, gamma0 = orthonormalize(p, 0)
-    assert b_prev == 0.0
-    assert gamma0 == 1.0
+    seq = make_sequence("little-q-jacobi", {"a": 0.5, "b": 0.5, "q": 0.5})
+    assert seq.b(-1) == 0.0
     a_monic, c_monic = little_q_jacobi_monic_coeffs(p, 0)
-    assert a0 == pytest.approx(a_monic + c_monic, rel=1e-15)
+    assert seq.a(0) == pytest.approx(a_monic + c_monic, rel=1e-15)
+
+
+def _gamma(p, n):
+    # gamma_n = sqrt(C_1 ... C_n / (A_0 ... A_{n-1})) rescales the monic-form
+    # polynomials onto the orthonormal ones, p_n = +-gamma_n psi_n
+    gamma_sq = 1.0
+    for k in range(1, n + 1):
+        c_k = little_q_jacobi_monic_coeffs(p, k)[1]
+        gamma_sq *= c_k / little_q_jacobi_monic_coeffs(p, k - 1)[0]
+    return math.sqrt(gamma_sq)
 
 
 def _gamma_closed(q, n):
@@ -217,10 +225,10 @@ def _b_closed(q, n):
 def test_symmetric_point_closed_forms(q):
     # at a=q, b=1 the norms and off-diagonal entries reduce to q-factorial ratios
     p = QParams(q, 1.0, q)
+    seq = make_sequence("little-q-jacobi", {"a": q, "b": 1.0, "q": q})
     for n in range(1, 11):
-        _, b_prev, gamma = orthonormalize(p, n)
-        assert abs(gamma) == pytest.approx(abs(_gamma_closed(q, n)), rel=1e-12)
-        assert abs(b_prev) == pytest.approx(abs(_b_closed(q, n)), rel=1e-12)
+        assert _gamma(p, n) == pytest.approx(abs(_gamma_closed(q, n)), rel=1e-12)
+        assert seq.b(n - 1) == pytest.approx(abs(_b_closed(q, n)), rel=1e-12)
 
 
 # -- sequence object behavior --
@@ -291,10 +299,9 @@ def test_orthonormal_matches_monic_up_to_gauge(a, b, q):
     for x in np.linspace(-0.8, 0.9, 20):
         p_prev, p_cur = 0.0, 1.0
         for n in range(12):
-            gamma = orthonormalize(params, n)[2]
             psi = evaluate_polynomial(seq, n, x)
             scale = max(1.0, abs(p_cur))
-            assert abs(abs(p_cur) - abs(gamma) * abs(psi)) / scale < 1e-10
+            assert abs(abs(p_cur) - _gamma(params, n) * abs(psi)) / scale < 1e-10
             a_n, c_n = little_q_jacobi_monic_coeffs(params, n)
             p_prev, p_cur = p_cur, ((a_n + c_n - x) * p_cur - c_n * p_prev) / a_n
 
