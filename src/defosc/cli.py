@@ -32,7 +32,9 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from . import __version__, classifier, coherent, fibonacci, oscillator, recurrence
+# oscillator, classifier and coherent (numpy) are imported by the handlers that
+# use them, so `families` and the exact `fib` commands start without numpy
+from . import __version__, fibonacci, recurrence
 from .errors import DefoscError
 
 __all__ = ["main"]
@@ -272,6 +274,8 @@ def _families(eff):
 
 
 def _verify(eff):
+    from . import oscillator
+
     seq = _resolve_sequence(eff)
     report = oscillator.verify_algebra(seq, eff["dim"], eff["tol"])
     payload = {"params": seq.params, **report.to_dict()}
@@ -291,6 +295,8 @@ def _verify(eff):
 
 
 def _classify(eff):
+    from . import classifier
+
     # the two formats are two computations: the verdict, or the difference table
     seq = _resolve_sequence(eff)
     if eff["format"] == "csv":
@@ -301,6 +307,8 @@ def _classify(eff):
 
 
 def _coherent(eff):
+    from . import coherent
+
     seq = _resolve_sequence(eff)
     z_list = _z_grid(eff["z"])
     dim, tol = eff["dim"], eff["tol"]

@@ -145,7 +145,12 @@ def make_state(
         norm_constant = math.inf
 
     # squared-amplitude ratios t_{k+1}^2 / t_k^2 = r2 / (2 b_k^2) past the edge
-    ratios = [r2 / (2.0 * seq.b_squared(k)) for k in range(dim - 1, dim - 1 + _EDGE_SAMPLE)]
+    ratios = []
+    for k in range(dim - 1, dim - 1 + _EDGE_SAMPLE):
+        b_sq = seq.b_squared(k)
+        if b_sq == 0.0:
+            raise ZeroCoefficientError(f"b_{k} = 0: the tail past level {dim - 1} is undefined")
+        ratios.append(r2 / (2.0 * b_sq))
     rho = max(ratios)
     if rho >= 1.0:
         return CoherentState(z, dim, coeffs, norm_constant, log_norm, math.inf, False)

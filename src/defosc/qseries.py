@@ -12,7 +12,12 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DegenerateParameterError, DivergenceError, ParameterDomainError
+from .errors import (
+    DegenerateParameterError,
+    DivergenceError,
+    NonPositiveDefiniteError,
+    ParameterDomainError,
+)
 
 __all__ = [
     "q_pochhammer",
@@ -204,6 +209,10 @@ def generalized_factorial_closed(a: float, b: float, q: float, n: int) -> float:
 
     an independent route to the product of the factors 2 A_k C_{k+1} that
     make_sequence("little-q-jacobi", ...).b_squared gives one at a time.
+    A negative product has a negative factor 2 b_k^2, so its parameters
+    define no real oscillator: NonPositiveDefiniteError.  Two negative
+    factors cancel in one product; normalization_series_closed, which takes
+    n = 0, 1, ... in turn, stops at the first.
     """
     if n < 0:
         raise ParameterDomainError(f"n must be >= 0, got {n}")
@@ -222,7 +231,13 @@ def generalized_factorial_closed(a: float, b: float, q: float, n: int) -> float:
         * q_pochhammer(q, q, n)
         * q_pochhammer(b * q, q, n)
     )
-    return num / den
+    product = num / den
+    if product < 0.0:
+        raise NonPositiveDefiniteError(
+            f"prod_(k<{n}) 2 b_k^2 = {product} < 0 at m={n}: "
+            "parameters do not define a real oscillator"
+        )
+    return product
 
 
 def normalization_series_closed(
@@ -232,7 +247,8 @@ def normalization_series_closed(
 
     Cross-check of coherent.make_state, whose norm_constant at dim n_terms is
     the same partial sum accumulated in log space from the recurrence
-    coefficients; here each product comes from generalized_factorial_closed.
+    coefficients; here each product comes from generalized_factorial_closed,
+    which raises NonPositiveDefiniteError at the first negative one.
     A product below the smallest normal float (a = b = 0.5, n_terms = 24 and
     q <= 0.25, say) would divide by zero or lose digits, so it raises
     ParameterDomainError naming m.  May overflow to inf for decaying b_k at

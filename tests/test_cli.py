@@ -422,3 +422,40 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["schema"] == "defosc.families.v1"
+
+
+_RUN_COMMAND = (
+    "import contextlib, io\n"
+    "from defosc.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main({argv!r})\n"
+    "if code:\n"
+    "    raise SystemExit(code)\n"
+)
+
+
+def _command(argv: str, loaded: set):
+    return pytest.param(_RUN_COMMAND.format(argv=argv.split()), loaded, id=argv)
+
+
+@pytest.mark.parametrize(
+    "code, loaded",
+    [
+        pytest.param("import defosc", set(), id="import defosc"),
+        pytest.param("import defosc.cli", set(), id="import defosc.cli"),
+        _command("families", set()),
+        _command("fib numbers --n 20", set()),
+        _command("fib ismail --theta 0.7 --n 20", set()),
+        _command("fib filbert --n 8", set()),
+        _command("fib berg --nmax 6", {"mpmath"}),
+        _command("verify --family harmonic --dim 8", {"numpy"}),
+    ],
+)
+def test_import_footprint(code, loaded):
+    # a fresh interpreter per case: numpy and mpmath load only where used
+    probe = code + "\nimport sys\nprint(*sorted({'numpy', 'mpmath'} & sys.modules.keys()))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == loaded

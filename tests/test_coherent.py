@@ -37,10 +37,13 @@ def test_factorial_base_cases():
 
 
 def test_factorial_rejects_zero_coefficient():
-    # b_3 = 0: level 4 is unreachable, so the product up to level 4 is undefined
+    # b_3 = 0: level 4 is unreachable, so the product up to level 4 is undefined;
+    # at dim 3 and 4 the zero lies among the edge ratios past the kept levels,
+    # where it was a bare ZeroDivisionError
     seq = custom_sequence(lambda n: 0.0 if n == 3 else 1.0)
-    with pytest.raises(ZeroCoefficientError, match="b_3 = 0"):
-        make_state(seq, 0.5, 5, strict=False)
+    for dim in (3, 4, 5):
+        with pytest.raises(ZeroCoefficientError, match="b_3 = 0"):
+            make_state(seq, 0.5, dim, strict=False)
 
 
 # -- normalization series --

@@ -11,6 +11,7 @@ from defosc import (
     GOLDEN_Q,
     DegenerateParameterError,
     DivergenceError,
+    NonPositiveDefiniteError,
     ParameterDomainError,
     QParams,
     little_q_jacobi_monic_coeffs,
@@ -297,3 +298,14 @@ def test_normalization_series_closed_rejects_underflowing_product(q, m):
     with pytest.raises(ParameterDomainError, match=f"m={m},"):
         normalization_series_closed(0.5, 0.5, q, 0.25, 24)
     assert math.isfinite(normalization_series_closed(0.5, 0.5, q, 0.25, m))
+
+
+@pytest.mark.parametrize("a, b", [(-0.5, 0.5), (-0.5, -0.5)])
+def test_closed_forms_reject_parameters_without_real_oscillator(a, b):
+    # 2 b_0^2 < 0 here, as make_sequence finds; the partial sum was -3.9e19
+    with pytest.raises(NonPositiveDefiniteError):
+        make_sequence("little-q-jacobi", {"a": a, "b": b, "q": 0.5}).b(0)
+    with pytest.raises(NonPositiveDefiniteError, match="m=1:"):
+        normalization_series_closed(a, b, 0.5, 0.5, 10)
+    with pytest.raises(NonPositiveDefiniteError, match="m=1:"):
+        generalized_factorial_closed(a, b, 0.5, 1)
