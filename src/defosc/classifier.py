@@ -81,11 +81,12 @@ def difference_table(seq: CoefficientSequence, n_max: int, j_max: int) -> Differ
             f"n_max must be >= j_max + 2, got n_max={n_max}, j_max={j_max}"
         )
     b_sq = np.array([seq.b_squared(n) for n in range(n_max + 1)])
-    row = np.diff(b_sq, prepend=0.0)  # A^(0)_0 = b_0^2 via b(-1) = 0
-    rows = [tuple(float(v) for v in row)]
-    for _ in range(j_max):
-        row = np.diff(row)
-        rows.append(tuple(float(v) for v in row))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN in the table, not a warning
+        row = np.diff(b_sq, prepend=0.0)  # A^(0)_0 = b_0^2 via b(-1) = 0
+        rows = [tuple(float(v) for v in row)]
+        for _ in range(j_max):
+            row = np.diff(row)
+            rows.append(tuple(float(v) for v in row))
     return DifferenceTable(n_max, j_max, tuple(rows))
 
 
@@ -138,7 +139,8 @@ def classify(
     non-constant beyond tol (rows j >= 3 of any quadratic vanish, so a
     non-constant low row certifies non-quadratic b_n^2).  Inconclusive when
     the factored-form check fails but both rows look constant, i.e. numeric
-    noise straddles the tolerance; both residuals are reported.
+    noise straddles the tolerance, or when some b_n^2 is NaN; both
+    residuals are reported.
     """
     if n_max < 8:
         raise ParameterDomainError(f"n_max must be >= 8, got {n_max}")
@@ -148,8 +150,10 @@ def classify(
     fit_residual = 0.0
     for n in range(n_max + 1):
         b_sq = seq.b_squared(n)
-        predicted = (beta0 + beta2 * n) * (1.0 + n)
-        fit_residual = max(fit_residual, abs(b_sq - predicted) / max(1.0, b_sq))
+        r = abs(b_sq - (beta0 + beta2 * n) * (1.0 + n)) / max(1.0, b_sq)
+        # a NaN residual sticks (max(0.0, nan) would drop it), so it is never Finite
+        if r > fit_residual or r != r:
+            fit_residual = r
     if fit_residual <= tol:
         return ClassificationResult(
             FINITE, n_max, tol, fit_residual, beta0=beta0, beta2=beta2, dim=4

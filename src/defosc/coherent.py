@@ -111,7 +111,10 @@ def make_state(
     z = complex(z)
     if not cmath.isfinite(z):
         raise ParameterDomainError(f"z must be finite, got {z}")
-    r2 = abs(z) ** 2
+    try:
+        r2 = abs(z) ** 2
+    except OverflowError:
+        raise ParameterDomainError(f"|z|^2 overflows a double, got z={z}") from None
 
     if r2 == 0.0:
         coeffs = np.zeros(dim, dtype=complex)

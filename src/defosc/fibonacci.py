@@ -18,9 +18,7 @@ calibration (alpha^2 < 0), so the Berg table uses the classical moments only.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -292,15 +290,6 @@ def fib_via_chebyshev(n: int) -> int:
 # -- nu-measure moments --------------------------------------------------------
 
 
-def _resolve_precision(precision: str | None) -> str:
-    p = precision or os.environ.get("DEFOSC_PRECISION") or "extended"
-    if p not in ("double", "extended"):
-        raise ParameterDomainError(
-            f"precision must be 'double' or 'extended', got {p!r}"
-        )
-    return p
-
-
 def _geometric_partial_sum(s, K: int):
     """sum_{k<K} s^k by doubling over the bits of K, most significant first.
 
@@ -321,11 +310,8 @@ class NuMomentResult:
     """Truncated vs closed-form n-th moment of the discrete measure nu.
 
     within_bound compares |truncated - closed_form| against tail_bound plus a
-    rounding margin at the working precision.  In double precision the margin
-    (~1e-13) usually dwarfs the tail bound itself, so a True verdict there
-    only certifies double-level agreement; `extended` (the default) sizes the
-    precision so the margin sits far below the bound and the comparison is
-    meaningful.
+    rounding margin at the working precision dps, which is sized so the margin
+    sits far below the bound.  precision is always "extended" (mpmath).
     """
 
     n: int
@@ -338,7 +324,7 @@ class NuMomentResult:
     tail_bound: float
     within_bound: bool
     precision: str
-    dps: int | None
+    dps: int
 
 
 def nu_moments(
@@ -347,7 +333,6 @@ def nu_moments(
     theta: float,
     q: float | None = None,
     K: int = 200,
-    precision: str | None = None,
 ) -> NuMomentResult:
     """Moments of nu = (1 - q^alpha) sum_k q^{alpha k} delta(x - q^k e^{-theta}).
 
@@ -357,18 +342,14 @@ def nu_moments(
     on their true difference.  q defaults to -e^{-2 theta}, which needs
     theta > 0.
 
-    precision (or DEFOSC_PRECISION) picks the carrier once: `double` runs
-    in floats, `extended` in mpmath at a working precision dps that grows
-    with K so that rounding stays below the tail bound.  Both evaluate the
-    same formula and form the K-term partial sum by doubling over the bits
-    of K (O(log K) products, see _geometric_partial_sum).  A theta for
-    which e^{-n theta} overflows a double is rejected in double precision.
-
-    The extended cost grows with that precision, which is
+    Everything is evaluated in mpmath at a working precision that grows with
+    K so that rounding stays below the tail bound, and the K-term partial sum
+    is formed by doubling over the bits of K (O(log K) products, see
+    _geometric_partial_sum).  The cost grows with that precision, which is
     dps = K (alpha + n) log10(1/|q|) + 30 digits (at least 50): n = alpha = 3,
     q = 1e-3, K = 4097 runs at 73,776 digits and takes seconds (3.4-5.4 s
     measured on a 2-core Xeon).  dps is not lowered to save time; a smaller
-    K or the double carrier is the cheaper choice when its bound suffices.
+    K is the cheaper choice when its bound suffices.
 
     When q^{alpha+n} > 0 the dropped tail is a positive geometric series and
     the bound is attained exactly, so within_bound compares with a small
@@ -397,33 +378,21 @@ def nu_moments(
         raise ParameterDomainError(
             f"alpha must be an integer when q < 0, got alpha={alpha}"
         )
-    mode = _resolve_precision(precision)
+    import mpmath
 
-    if mode == "double":
-        dps, number, exp, context = None, float, math.exp, contextlib.nullcontext()
-    else:
-        # working precision sized so rounding stays below the geometric tail
-        import mpmath
-
-        dps = max(50, int(math.ceil(K * (alpha + n) * -math.log10(abs(q_known)))) + 30)
-        number, exp, context = mpmath.mpf, mpmath.exp, mpmath.workdps(dps)
+    # working precision sized so rounding stays below the geometric tail
+    dps = max(50, int(math.ceil(K * (alpha + n) * -math.log10(abs(q_known)))) + 30)
     alpha_i = int(alpha) if alpha == int(alpha) else alpha
-    with context:
-        rel_margin = 1e-13 if dps is None else mpmath.mpf(10) ** (15 - dps)
-        tv = number(theta)
-        qv = -exp(-2 * tv) if q is None else number(q)
-        try:
-            e_nt = exp(-n * tv)
-        except OverflowError:
-            raise ParameterDomainError(
-                f"e^(-n theta) overflows a double at n={n}, theta={theta}"
-            ) from None
+    with mpmath.workdps(dps):
+        tv = mpmath.mpf(theta)
+        qv = -mpmath.exp(-2 * tv) if q is None else mpmath.mpf(q)
+        e_nt = mpmath.exp(-n * tv)
         mass = 1 - qv**alpha_i
         step = qv ** (alpha_i + n)
         truncated = mass * e_nt * _geometric_partial_sum(step, K)
         closed = mass * e_nt / (1 - step)
         tail = abs(mass) * e_nt * abs(qv) ** ((alpha_i + n) * K) / (1 - abs(qv) ** (alpha_i + n))
-        margin = (abs(truncated) + abs(closed)) * rel_margin
+        margin = (abs(truncated) + abs(closed)) * mpmath.mpf(10) ** (15 - dps)
         within = bool(abs(truncated - closed) <= tail + margin)
         return NuMomentResult(
             n,
@@ -435,7 +404,7 @@ def nu_moments(
             float(closed),
             float(tail),
             within,
-            mode,
+            "extended",
             dps,
         )
 

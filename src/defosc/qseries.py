@@ -17,6 +17,7 @@ from .errors import (
     DivergenceError,
     NonPositiveDefiniteError,
     ParameterDomainError,
+    ZeroCoefficientError,
 )
 
 __all__ = [
@@ -199,6 +200,40 @@ def basic_hypergeometric(spec: HyperSeriesSpec) -> HyperSeriesResult:
     return sum_ratio_series(multipliers(), spec.tol)
 
 
+def _factorial_prefixes(a: float, b: float, q: float, n: int):
+    """Yield generalized_factorial_closed(a, b, q, m) for m = 0, 1, ..., n in O(n).
+
+    The Pochhammer products are carried as prefixes, one factor per step.
+    Stops at the first negative product (NonPositiveDefiniteError) and at
+    the first factor 2 b_k^2 that is exactly zero (ZeroCoefficientError).
+    """
+    if not (0.0 < abs(q) < 1.0):
+        raise ParameterDomainError(f"require 0 < |q| < 1, got q={q}")
+    ab = a * b
+    xs = (a * q, ab * q, q, b * q)  # numerator (x; q)_m
+    ys = (ab * q, ab * q**2)  # denominator (y; q)_{2m}
+    num, den, powers = [1] * 4, [1] * 2, [1]  # powers: q^k by repeated products
+    for m in range(n + 1):
+        if m:
+            factors = [1 - x * powers[m - 1] for x in xs]
+            if a == 0.0 or 0.0 in factors:
+                raise ZeroCoefficientError(f"b_{m - 1} = 0: levels above {m - 1} are unreachable")
+            num = [p * f for p, f in zip(num, factors)]
+            for _ in range(2):
+                den = [d * (1 - y * powers[-1]) for d, y in zip(den, ys)]
+                powers.append(powers[-1] * q)
+        den_m = den[0] * den[1]
+        if den_m == 0.0:
+            raise DegenerateParameterError("Pochhammer denominator vanishes")
+        product = 2.0**m * a**m * q ** (m * m) * num[0] * num[1] * num[2] * num[3] / den_m
+        if product < 0.0:
+            raise NonPositiveDefiniteError(
+                f"prod_(k<{m}) 2 b_k^2 = {product} < 0 at m={m}: "
+                "parameters do not define a real oscillator"
+            )
+        yield product
+
+
 def generalized_factorial_closed(a: float, b: float, q: float, n: int) -> float:
     """prod_{k<n} 2 b_k^2 for the little q-Jacobi oscillator, via Pochhammer products.
 
@@ -209,34 +244,14 @@ def generalized_factorial_closed(a: float, b: float, q: float, n: int) -> float:
 
     an independent route to the product of the factors 2 A_k C_{k+1} that
     make_sequence("little-q-jacobi", ...).b_squared gives one at a time.
-    A negative product has a negative factor 2 b_k^2, so its parameters
-    define no real oscillator: NonPositiveDefiniteError.  Two negative
-    factors cancel in one product; normalization_series_closed, which takes
-    n = 0, 1, ... in turn, stops at the first.
+    A negative product for some m <= n has a negative factor 2 b_k^2, so its
+    parameters define no real oscillator: NonPositiveDefiniteError, also
+    when a second negative factor cancels the sign at n.  A zero factor
+    raises ZeroCoefficientError, as coherent.make_state does.
     """
     if n < 0:
         raise ParameterDomainError(f"n must be >= 0, got {n}")
-    if not (0.0 < abs(q) < 1.0):
-        raise ParameterDomainError(f"require 0 < |q| < 1, got q={q}")
-    ab = a * b
-    den = q_pochhammer(ab * q, q, 2 * n) * q_pochhammer(ab * q**2, q, 2 * n)
-    if den == 0.0:
-        raise DegenerateParameterError("Pochhammer denominator vanishes")
-    num = (
-        2.0**n
-        * a**n
-        * q ** (n * n)
-        * q_pochhammer(a * q, q, n)
-        * q_pochhammer(ab * q, q, n)
-        * q_pochhammer(q, q, n)
-        * q_pochhammer(b * q, q, n)
-    )
-    product = num / den
-    if product < 0.0:
-        raise NonPositiveDefiniteError(
-            f"prod_(k<{n}) 2 b_k^2 = {product} < 0 at m={n}: "
-            "parameters do not define a real oscillator"
-        )
+    *_, product = _factorial_prefixes(a, b, q, n)
     return product
 
 
@@ -247,8 +262,8 @@ def normalization_series_closed(
 
     Cross-check of coherent.make_state, whose norm_constant at dim n_terms is
     the same partial sum accumulated in log space from the recurrence
-    coefficients; here each product comes from generalized_factorial_closed,
-    which raises NonPositiveDefiniteError at the first negative one.
+    coefficients; here the products are those of generalized_factorial_closed,
+    formed in one pass that stops at the first negative or zero factor.
     A product below the smallest normal float (a = b = 0.5, n_terms = 24 and
     q <= 0.25, say) would divide by zero or lose digits, so it raises
     ParameterDomainError naming m.  May overflow to inf for decaying b_k at
@@ -259,8 +274,7 @@ def normalization_series_closed(
     if r2 < 0.0:
         raise ParameterDomainError(f"r2 must be >= 0, got {r2}")
     total = 0.0
-    for m in range(n_terms):
-        product = generalized_factorial_closed(a, b, q, m)
+    for m, product in enumerate(_factorial_prefixes(a, b, q, n_terms - 1)):
         if abs(product) < sys.float_info.min:
             raise ParameterDomainError(
                 f"prod_(k<{m}) 2 b_k^2 = {product} underflows at m={m}, q={q}"

@@ -98,6 +98,19 @@ def test_inconclusive_when_noise_straddles_tolerance():
     assert all(s <= 1e-9 for s in res.row_spreads)
 
 
+def test_nan_coefficient_is_never_finite():
+    # max(0.0, nan) is 0.0, so a NaN b_5 used to classify as Finite
+    seq = custom_sequence(lambda n: math.nan if n == 5 else math.sqrt((n + 1) / 2))
+    res = classify(seq)
+    assert res.verdict == INCONCLUSIVE
+    assert math.isnan(res.fit_residual)
+    assert res.beta0 is None and res.dim is None
+    # b_n^2 overflows to inf past n = 0, so the fit and the table hold NaN
+    res = classify(make_sequence("laguerre", {"alpha": 1e308}))
+    assert res.verdict == INCONCLUSIVE
+    assert math.isnan(res.fit_residual)
+
+
 def test_verdicts_stable_across_n_max():
     lag = make_sequence("laguerre")
     gold = make_sequence("fibonacci-golden")

@@ -145,6 +145,14 @@ def test_classify_verdicts(capsys):
     assert payload["result"]["witness_j"] == 1
 
 
+def test_classify_nan_fit_is_inconclusive(capsys):
+    # was "Finite" with fit_residual 0.0: the NaN residual was dropped
+    payload = _run_json(capsys, ["classify", "--family", "laguerre", "--alpha", "1e308"])
+    result = payload["result"]
+    assert result["verdict"] == "Inconclusive"
+    assert result["fit_residual"] is None and result["dim"] is None
+
+
 def test_classify_csv_is_difference_table(capsys):
     code, out, _ = _run(
         capsys, ["classify", "--family", "harmonic", "--nmax", "10", "--format", "csv"]
@@ -207,6 +215,14 @@ def test_coherent_divergent_family_not_flagged(capsys):
 def test_coherent_requires_z(capsys):
     code, _, err = _run(capsys, ["coherent", "--family", "harmonic"])
     assert code == 2 and "--z" in err
+
+
+def test_coherent_huge_z_exits_2(capsys):
+    # was exit 1 with an OverflowError traceback from |z|^2
+    code, out, err = _run(capsys, ["coherent", "--family", "harmonic", "--z", "1e200", "--dim", "8"])
+    assert code == 2 and out == "" and "z" in err
+    code, _, _ = _run(capsys, ["coherent", "--family", "harmonic", "--z", "1e150", "--dim", "8"])
+    assert code == 0
 
 
 # -- fib subcommands --

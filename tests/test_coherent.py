@@ -172,6 +172,11 @@ def test_make_state_validation():
     for tol in (math.nan, math.inf, -1.0):
         with pytest.raises(ParameterDomainError, match="tol"):
             make_state(seq, 0.5, 8, tol)
+    # |z|^2 past the double range was a bare OverflowError
+    for z in (1e200, 1e200j, -1.4e154):
+        with pytest.raises(ParameterDomainError, match="z"):
+            make_state(seq, z, 8)
+    assert make_state(seq, 1e150, 8).dim == 8
 
 
 def test_truncation_error_without_finite_suggestion():

@@ -475,12 +475,13 @@ def test_nu_explicit_base_overrides_default():
     assert res.within_bound
 
 
-def test_nu_double_mode():
-    res = nu_moments(1, 1, THETA0, precision="double")
-    assert res.precision == "double"
-    assert res.dps is None
-    assert res.within_bound
-    assert res.truncated == pytest.approx(res.closed_form, rel=1e-12)
+@pytest.mark.parametrize("value", ["double", "single"])
+def test_nu_ignores_precision_environment(monkeypatch, value):
+    # DEFOSC_PRECISION once chose a float carrier (or raised for "single")
+    want = nu_moments(1, 1, THETA0)
+    monkeypatch.setenv("DEFOSC_PRECISION", value)
+    assert nu_moments(1, 1, THETA0) == want
+    assert want.precision == "extended" and isinstance(want.dps, int)
 
 
 def test_nu_validation():
@@ -490,18 +491,14 @@ def test_nu_validation():
         nu_moments(0, 2, 0.5, K=0)
     with pytest.raises(ParameterDomainError, match="K"):
         nu_moments(0, 2, 0.5, K=2.5)  # was a TypeError
-    # e^(-n theta) overflows a double (was an uncaught OverflowError)
-    with pytest.raises(ParameterDomainError, match="theta"):
-        nu_moments(1, 2, -800.0, q=0.5, precision="double")
-    assert nu_moments(1, 2, -800.0, q=0.5, K=4).dps == 50  # extended precision evaluates it
+    # e^(-n theta) past the double range is evaluated, not rejected
+    assert nu_moments(1, 2, -800.0, q=0.5, K=4).dps == 50
     with pytest.raises(ParameterDomainError):
         nu_moments(0, 2, math.inf)
     with pytest.raises(ParameterDomainError):
         nu_moments(0, 2, 0.5, q=1.5)
     with pytest.raises(ParameterDomainError):
         nu_moments(0, 1.5, 0.5)  # non-integer alpha with negative default q
-    with pytest.raises(ParameterDomainError):
-        nu_moments(0, 2, 0.5, precision="single")
     # non-finite alpha used to surface as int() errors naming the wrong cause
     for alpha in (math.nan, math.inf, -math.inf):
         with pytest.raises(ParameterDomainError, match="alpha"):
@@ -514,9 +511,8 @@ def test_nu_validation():
     # default q = -e^{-2 theta} needs theta > 0; theta = -0.5 returned a 1e260
     # "truncated" value, theta = 0 raised ZeroDivisionError
     for theta in (-0.5, 0.0):
-        for precision in ("double", "extended"):
-            with pytest.raises(ParameterDomainError, match="theta"):
-                nu_moments(0, 2, theta, precision=precision)
+        with pytest.raises(ParameterDomainError, match="theta"):
+            nu_moments(0, 2, theta)
     # a default q that underflows to 0 is rejected too
     with pytest.raises(ParameterDomainError, match="q"):
         nu_moments(0, 2, 400.0)

@@ -14,6 +14,7 @@ from defosc import (
     NonPositiveDefiniteError,
     ParameterDomainError,
     QParams,
+    ZeroCoefficientError,
     little_q_jacobi_monic_coeffs,
     make_sequence,
 )
@@ -307,5 +308,17 @@ def test_closed_forms_reject_parameters_without_real_oscillator(a, b):
         make_sequence("little-q-jacobi", {"a": a, "b": b, "q": 0.5}).b(0)
     with pytest.raises(NonPositiveDefiniteError, match="m=1:"):
         normalization_series_closed(a, b, 0.5, 0.5, 10)
-    with pytest.raises(NonPositiveDefiniteError, match="m=1:"):
-        generalized_factorial_closed(a, b, 0.5, 1)
+    # n = 2 as well: at (-0.5, 0.5) two negative factors cancel, which
+    # returned a positive 0.0184
+    for n in (1, 2):
+        with pytest.raises(NonPositiveDefiniteError, match="m=1:"):
+            generalized_factorial_closed(a, b, 0.5, n)
+
+
+def test_normalization_series_closed_names_zero_coefficient():
+    # a = 0 makes b_0 = 0; the error blamed underflow of the product
+    assert make_sequence("little-q-jacobi", {"a": 0.0, "b": 0.5, "q": 0.5}).b(0) == 0.0
+    with pytest.raises(ZeroCoefficientError, match="b_0 = 0"):
+        normalization_series_closed(0.0, 0.5, 0.5, 0.25, 5)
+    with pytest.raises(ZeroCoefficientError, match="b_0 = 0"):
+        generalized_factorial_closed(0.0, 0.5, 0.5, 1)
