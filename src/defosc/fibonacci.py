@@ -19,7 +19,6 @@ calibration (alpha^2 < 0), so the Berg table uses the classical moments only.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -69,8 +68,8 @@ class GoldenNumber:
     __slots__ = ("r", "s")
 
     def __init__(self, r, s=0):
-        object.__setattr__(self, "r", Fraction(r))
-        object.__setattr__(self, "s", Fraction(s))
+        object.__setattr__(self, "r", r if isinstance(r, Fraction) else Fraction(r))
+        object.__setattr__(self, "s", s if isinstance(s, Fraction) else Fraction(s))
 
     def __setattr__(self, name, value):
         raise AttributeError("GoldenNumber is immutable")
@@ -85,9 +84,7 @@ class GoldenNumber:
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GoldenNumber(self.r + o.r, self.s + o.s)
+        return NotImplemented if o is None else GoldenNumber(self.r + o.r, self.s + o.s)
 
     __radd__ = __add__
 
@@ -95,24 +92,16 @@ class GoldenNumber:
         return GoldenNumber(-self.r, -self.s)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GoldenNumber(self.r - o.r, self.s - o.s)
+        return self + -other
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return -self + other
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GoldenNumber(
-            self.r * o.r + 5 * self.s * o.s, self.r * o.s + self.s * o.r
-        )
+        return GoldenNumber(self.r * o.r + 5 * self.s * o.s, self.r * o.s + self.s * o.r)
 
     __rmul__ = __mul__
 
@@ -126,22 +115,17 @@ class GoldenNumber:
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        return NotImplemented if o is None else self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
+        if not isinstance(exponent, int):
             return NotImplemented
         out = GoldenNumber(1)
-        base = self
-        e = exponent
+        base = self if exponent >= 0 else self.inverse()
+        e = abs(exponent)
         while e:
             if e & 1:
                 out = out * base
@@ -152,11 +136,28 @@ class GoldenNumber:
     def conjugate(self) -> "GoldenNumber":
         return GoldenNumber(self.r, -self.s)
 
+    def __gt__(self, other):
+        d = self - other
+        # whichever of |r| and |s| sqrt5 is larger carries the sign of r + s sqrt5
+        return d.r > 0 if d.r * d.r > 5 * d.s * d.s else d.s > 0
+
+    def sqrt(self) -> "GoldenNumber":
+        """The root y >= 0 with y * y == self; ValueError if none lies in Q(sqrt 5).
+
+        y = u + v sqrt5 squares to (u^2 + 5 v^2) + 2uv sqrt5, so u^2 + 5 v^2 = r
+        and u^2 - 5 v^2 = +-sqrt(r^2 - 5 s^2) fix u^2 and v^2; uv has the sign of s.
+        """
+        norm_root = _rational_sqrt(self.r * self.r - 5 * self.s * self.s)
+        for n in () if norm_root is None else (norm_root, -norm_root):
+            u, v = _rational_sqrt((self.r + n) / 2), _rational_sqrt((self.r - n) / 10)
+            if u is not None and v is not None:
+                y = GoldenNumber(u, v if self.s >= 0 else -v)
+                return -y if -y > 0 else y
+        raise ValueError(f"{self!r} has no square root in Q(sqrt 5)")
+
     def __eq__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.r == o.r and self.s == o.s
+        return NotImplemented if o is None else (self.r == o.r and self.s == o.s)
 
     def __hash__(self):
         return hash((self.r, self.s))
@@ -166,6 +167,15 @@ class GoldenNumber:
 
     def __repr__(self) -> str:
         return f"GoldenNumber({self.r!r}, {self.s!r})"
+
+
+def _rational_sqrt(x: Fraction) -> Fraction | None:
+    """The root y >= 0 of x in Q, or None when x has none."""
+    if x >= 0:
+        y = Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
+        if y * y == x:
+            return y
+    return None
 
 
 # (1 - sqrt5)/(1 + sqrt5) = (sqrt5 - 3)/2 and the golden ratio (1 + sqrt5)/2;
@@ -556,20 +566,19 @@ class MomentFunctional:
 
     def affine(self, alpha, beta) -> "MomentFunctional":
         """Functional of x -> alpha x + beta: mu'_m = L((alpha x + beta)^m)."""
+        n = len(self._moments)
+        a_pows, b_pows = [1], [1]
+        for _ in range(1, n):
+            a_pows.append(a_pows[-1] * alpha)
+            b_pows.append(b_pows[-1] * beta)
         out = []
-        for m in range(len(self._moments)):
+        for m in range(n):
             acc = 0
             for k in range(m + 1):
-                acc = acc + math.comb(m, k) * alpha**k * beta ** (m - k) * self._moments[k]
+                if b_pows[m - k] != 0:  # beta = 0 keeps only k = m
+                    acc = acc + math.comb(m, k) * a_pows[k] * b_pows[m - k] * self._moments[k]
             out.append(acc)
         return MomentFunctional(out)
-
-
-def _sqrt(x):
-    mpmath = sys.modules.get("mpmath")  # an mpf argument means mpmath is loaded
-    if mpmath is not None and isinstance(x, mpmath.mpf):
-        return mpmath.sqrt(x)
-    return math.sqrt(float(x))
 
 
 def calibrate_affine(
@@ -601,7 +610,7 @@ def calibrate_affine(
         raise CalibrationError(
             f"alpha^2 = {float(alpha_sq):.6g} <= 0: no real affine calibration"
         )
-    alpha = _sqrt(alpha_sq)
+    alpha = alpha_sq.sqrt() if isinstance(alpha_sq, GoldenNumber) else math.sqrt(alpha_sq)
     beta = (u - alpha * mu1) / mu0
     return alpha, beta
 
@@ -617,7 +626,6 @@ class BergReport:
     diagonal: tuple[float, ...]
     max_off_diagonal: float
     diagonal_positive: bool
-    dps: int
 
     def passes(self, tol: float) -> bool:
         return self.diagonal_positive and self.max_off_diagonal < tol
@@ -632,61 +640,42 @@ class BergReport:
             "diagonal": list(self.diagonal),
             "max_off_diagonal": self.max_off_diagonal,
             "diagonal_positive": self.diagonal_positive,
-            "dps": self.dps,
         }
-
-
-_BERG_DPS = 50
 
 
 def berg_orthogonality(n_max: int = 6) -> BergReport:
     """Gram table L(p_m p_n) of golden-base little q-Jacobi polynomials.
 
     Moments are the exact classical reciprocal Fibonacci numbers
-    (berg_moment_classical); everything after them runs in mpmath at 50
-    digits (reported as dps): the affine map x -> alpha x + beta is
-    calibrated from L(p_1) = L(p_2) = 0, then the table is formed.
-    Off-diagonal entries are reported normalized by sqrt(L(p_m^2) L(p_n^2)).
+    (berg_moment_classical) and the polynomials have the exact base
+    GOLDEN_Q_EXACT, so everything runs in Q(sqrt 5) (GoldenNumber): the
+    affine map x -> alpha x + beta is calibrated from L(p_1) = L(p_2) = 0,
+    then the table is formed, and each zero and each sign is decided
+    exactly.  Floats appear only in the report.  Off-diagonal entries are
+    reported normalized by sqrt(L(p_m^2) L(p_n^2)).
     """
     if not (1 <= n_max <= 16):
         raise ParameterDomainError(f"n_max must be in 1..16, got {n_max}")
-    import mpmath
+    q = GOLDEN_Q_EXACT
+    base = MomentFunctional([berg_moment_classical(k) for k in range(2 * n_max + 1)])
+    # the calibration needs p_1 and p_2 even when the table stops at n_max = 1
+    polys = [qseries.little_q_jacobi_coeffs(n, q, 1, q) for n in range(max(n_max, 2) + 1)]
+    alpha, beta = calibrate_affine(base, polys[1], polys[2])
+    cal = base.affine(alpha, beta)
+    mu = [cal.moment(k) for k in range(len(cal))]
 
-    with mpmath.workdps(_BERG_DPS):
-        sqrt5 = mpmath.sqrt(5)
-        q = (1 - sqrt5) / (1 + sqrt5)
-        moments = [
-            mpmath.mpf(mu.numerator) / mpmath.mpf(mu.denominator)
-            for mu in map(berg_moment_classical, range(2 * n_max + 1))
-        ]
-        base = MomentFunctional(moments)
-        # the calibration needs p_1 and p_2 even when the table stops at n_max = 1
-        polys = [qseries.little_q_jacobi_coeffs(n, q, 1, q) for n in range(max(n_max, 2) + 1)]
-        alpha, beta = calibrate_affine(base, polys[1], polys[2])
-        cal = base.affine(alpha, beta)
-
-        gram = [[cal.apply(polys[m], polys[n]) for n in range(n_max + 1)] for m in range(n_max + 1)]
-        diag = [gram[m][m] for m in range(n_max + 1)]
-        diagonal_positive = all(d > 0 for d in diag)
-        rows = []
-        max_off = 0.0
-        for m in range(n_max + 1):
-            row = []
-            for n in range(m + 1, n_max + 1):
-                if diagonal_positive:
-                    val = float(abs(gram[m][n]) / _sqrt(diag[m] * diag[n]))
-                else:
-                    val = float(abs(gram[m][n]))
-                row.append(val)
-                max_off = max(max_off, val)
-            rows.append(tuple(row))
-        return BergReport(
-            n_max,
-            float(alpha),
-            float(beta),
-            tuple(rows),
-            tuple(float(d) for d in diag),
-            max_off,
-            diagonal_positive,
-            _BERG_DPS,
-        )
+    # gram[n][m] = L(p_m p_n) for m <= n, as sum_k c_{m,k} L(x^k p_n)
+    gram = []
+    for n in range(n_max + 1):
+        x_moments = [sum(c * mu[k + j] for j, c in enumerate(polys[n])) for k in range(n + 1)]
+        gram.append([sum(c * x for c, x in zip(polys[m], x_moments)) for m in range(n + 1)])
+    diag = [gram[m][m] for m in range(n_max + 1)]
+    diagonal_positive = all(d > 0 for d in diag)
+    scale = [math.sqrt(float(d)) if diagonal_positive else 1.0 for d in diag]
+    rows = tuple(
+        tuple(abs(float(gram[n][m])) / (scale[m] * scale[n]) for n in range(m + 1, n_max + 1))
+        for m in range(n_max + 1)
+    )
+    diagonal = tuple(float(d) for d in diag)
+    max_off = max((v for row in rows for v in row), default=0.0)
+    return BergReport(n_max, float(alpha), float(beta), rows, diagonal, max_off, diagonal_positive)

@@ -70,19 +70,25 @@ def little_q_jacobi_coeffs(n: int, a, b, q) -> list:
         coeff_j = [n,j]_q (abq^{n+1};q)_j / (aq;q)_j * q^{binom(j+1,2) - n j} (-1)^j
 
     with the Gaussian binomial [n,j]_q = (q;q)_n / ((q;q)_j (q;q)_{n-j}), in
-    whatever numeric carrier a, b and q are supplied in.
+    whatever numeric carrier a, b and q are supplied in.  Each coefficient
+    follows from the one before by the term ratio, O(n) products in all:
+
+        coeff_{j+1} / coeff_j = -(1 - q^{n-j}) (1 - abq^{n+1+j})
+                                / ((1 - q^{j+1}) (1 - aq^{j+1}) q^{n-j-1})
     """
-    qq_n = q_pochhammer(q, q, n)
-    coeffs = []
-    for j in range(n + 1):
-        den = q_pochhammer(a * q, q, j)
+    powers = [q**0]
+    for _ in range(2 * n):
+        powers.append(powers[-1] * q)
+    ab = a * b
+    coeffs = [powers[0]]
+    for j in range(n):
+        den = 1 - a * powers[j + 1]
         if den == 0:
             raise DegenerateParameterError(
-                f"(aq; q)_{j} = 0 at a={a}, q={q}: polynomial undefined"
+                f"(aq; q)_{j + 1} = 0 at a={a}, q={q}: polynomial undefined"
             )
-        binom = qq_n / (q_pochhammer(q, q, j) * q_pochhammer(q, q, n - j))
-        num = q_pochhammer(a * b * q ** (n + 1), q, j)
-        coeffs.append(binom * num / den * q ** (j * (j + 1) // 2 - n * j) * (-1) ** j)
+        num = (1 - powers[n - j]) * (1 - ab * powers[n + 1 + j])
+        coeffs.append(-coeffs[-1] * num / ((1 - powers[j + 1]) * den * powers[n - j - 1]))
     return coeffs
 
 

@@ -206,12 +206,16 @@ def _chebyshev_u() -> CoefficientSequence:
 def _laguerre(alpha: float = 0.0) -> CoefficientSequence:
     if not (alpha > -1.0):
         raise ParameterDomainError(f"laguerre requires alpha > -1, got {alpha}")
-    return CoefficientSequence(
-        "laguerre",
-        {"alpha": alpha},
-        lambda n: 2.0 * n + alpha + 1.0,
-        lambda n: math.sqrt((n + 1.0) * (n + alpha + 1.0)),
-    )
+
+    def b_fn(n: int) -> float:
+        b_sq = (n + 1.0) * (n + alpha + 1.0)
+        if not math.isfinite(b_sq):
+            raise ParameterDomainError(
+                f"laguerre b_{n}^2 = (n+1)(n+alpha+1) overflows a float at alpha={alpha}, n={n}"
+            )
+        return math.sqrt(b_sq)
+
+    return CoefficientSequence("laguerre", {"alpha": alpha}, lambda n: 2.0 * n + alpha + 1.0, b_fn)
 
 
 def _little_q_jacobi_seq(

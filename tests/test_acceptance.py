@@ -145,6 +145,8 @@ def test_berg_orthogonality():
         for value in row:
             assert value < 1e-8
     assert report.max_off_diagonal < 1e-8
+    # decided in exact Q(sqrt 5) arithmetic, so orthogonality holds exactly
+    assert report.max_off_diagonal == 0.0
 
 
 @pytest.mark.acceptance("7 nu-measure moments: truncation within the analytic tail bound")

@@ -105,10 +105,10 @@ def test_nan_coefficient_is_never_finite():
     assert res.verdict == INCONCLUSIVE
     assert math.isnan(res.fit_residual)
     assert res.beta0 is None and res.dim is None
-    # b_n^2 overflows to inf past n = 0, so the fit and the table hold NaN
-    res = classify(make_sequence("laguerre", {"alpha": 1e308}))
-    assert res.verdict == INCONCLUSIVE
-    assert math.isnan(res.fit_residual)
+    # b_n^2 overflowed to inf past n = 0 and fed NaN to the fit; now it is
+    # rejected where it is formed
+    with pytest.raises(ParameterDomainError, match=r"alpha=1e\+308, n=1"):
+        classify(make_sequence("laguerre", {"alpha": 1e308}))
 
 
 def test_verdicts_stable_across_n_max():

@@ -145,12 +145,14 @@ def test_classify_verdicts(capsys):
     assert payload["result"]["witness_j"] == 1
 
 
-def test_classify_nan_fit_is_inconclusive(capsys):
-    # was "Finite" with fit_residual 0.0: the NaN residual was dropped
-    payload = _run_json(capsys, ["classify", "--family", "laguerre", "--alpha", "1e308"])
-    result = payload["result"]
-    assert result["verdict"] == "Inconclusive"
-    assert result["fit_residual"] is None and result["dim"] is None
+def test_laguerre_overflowing_b_exits_2(capsys):
+    # were exit 3 with numpy overflow warnings (verify), a NaN fit (classify)
+    # and exit 0 with NaN rows (coherent)
+    for command in (["verify"], ["classify"], ["coherent", "--z", "0.5"]):
+        argv = [*command, "--family", "laguerre", "--alpha", "1e308"]
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "alpha=1e+308, n=1" in err and "overflows" in err
 
 
 def test_classify_csv_is_difference_table(capsys):
@@ -463,7 +465,7 @@ def _command(argv: str, loaded: set):
         _command("fib numbers --n 20", set()),
         _command("fib ismail --theta 0.7 --n 20", set()),
         _command("fib filbert --n 8", set()),
-        _command("fib berg --nmax 6", {"mpmath"}),
+        _command("fib berg --nmax 6", set()),
         _command("verify --family harmonic --dim 8", {"numpy"}),
     ],
 )

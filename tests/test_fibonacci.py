@@ -185,12 +185,53 @@ def test_golden_number_powers_follow_fibonacci():
 def test_golden_number_guards():
     with pytest.raises(ZeroDivisionError):
         GoldenNumber(0).inverse()
-    with pytest.raises(TypeError):
-        PHI ** (-1)
+    with pytest.raises(ZeroDivisionError):
+        GoldenNumber(0) ** -1
     with pytest.raises(TypeError):
         PHI**0.5
     with pytest.raises(AttributeError):
         PHI.r = Fraction(1)
+
+
+_PHI_TO_MINUS_80 = GoldenNumber(Fraction(52361396397820127, 2), Fraction(-23416728348467685, 2))
+
+
+def test_golden_number_negative_powers():
+    assert PHI**-1 == PHI - 1
+    assert PHI**-80 == _PHI_TO_MINUS_80
+    assert PHI**-2 == -GOLDEN_Q_EXACT
+    assert GOLDEN_Q_EXACT**-3 * GOLDEN_Q_EXACT**3 == GoldenNumber(1)
+
+
+@pytest.mark.parametrize(
+    "value, positive",
+    [
+        (GoldenNumber(1, 1), True),  # r, s > 0
+        (GoldenNumber(-1, -1), False),  # r, s < 0
+        (GoldenNumber(3, -1), True),  # r > 0 > s: 9 > 5
+        (GoldenNumber(2, -1), False),  # r > 0 > s: 4 < 5
+        (GoldenNumber(-2, 1), True),  # s > 0 > r: 4 < 5
+        (GoldenNumber(-3, 1), False),  # s > 0 > r: 9 > 5
+        (GoldenNumber(0, 1), True),
+        (GoldenNumber(0), False),
+        # phi^-80, about 2e-17 from r and s near 1e16: floats cannot decide
+        (_PHI_TO_MINUS_80, True),
+        (-_PHI_TO_MINUS_80, False),
+    ],
+)
+def test_golden_number_sign_is_exact(value, positive):
+    assert (value > 0) is positive
+
+
+def test_golden_number_sqrt():
+    assert (PHI**2).sqrt() == PHI
+    assert GoldenNumber(5).sqrt() == GoldenNumber(0, 1)  # the root with u = 0
+    assert GoldenNumber(Fraction(9, 4)).sqrt() == Fraction(3, 2)
+    assert (GOLDEN_Q_EXACT**2).sqrt() == -GOLDEN_Q_EXACT  # the positive root
+    assert GoldenNumber(0).sqrt() == 0
+    for value in (GoldenNumber(2), GoldenNumber(-1), GOLDEN_Q_EXACT, PHI):
+        with pytest.raises(ValueError):
+            value.sqrt()
 
 
 def test_golden_number_hash_and_float_coercion():
@@ -407,9 +448,26 @@ def test_berg_classical_calibrates_to_golden_ratio():
     assert report.diagonal_positive
     assert report.max_off_diagonal < 1e-8
     assert report.passes(1e-8)
-    assert report.dps == 50
     assert len(report.diagonal) == 7
     assert [len(r) for r in report.normalized_off_diagonal] == [6, 5, 4, 3, 2, 1, 0]
+
+
+@pytest.mark.parametrize("n_max", range(1, 17))
+def test_berg_table_is_exact_at_every_size(n_max):
+    # the 50-digit table lost the cancellation: diagonal_positive was false
+    # from n_max 11 and max_off_diagonal reached 2.2e43 at 16
+    report = berg_orthogonality(n_max)
+    assert report.alpha == 1.618033988749895
+    assert report.beta == 0.0
+    assert all(v == 0.0 for row in report.normalized_off_diagonal for v in row)
+    assert report.max_off_diagonal == 0.0
+    assert report.diagonal_positive and all(d > 0.0 for d in report.diagonal)
+
+
+def test_calibrate_affine_exact_golden_root():
+    base = MomentFunctional([berg_moment_classical(k) for k in range(3)])
+    p1, p2 = (little_q_jacobi_coeffs(n, GOLDEN_Q_EXACT, 1, GOLDEN_Q_EXACT) for n in (1, 2))
+    assert calibrate_affine(base, p1, p2) == (PHI, 0)
 
 
 def test_berg_shifted_convention_fails_calibration():
@@ -445,6 +503,7 @@ def test_berg_report_dict():
     assert d["n_max"] == 3
     assert d["diagonal_positive"] is True
     assert len(d["normalized_off_diagonal"]) == 4
+    assert "dps" not in d
 
 
 # -- nu-measure moments --

@@ -19,6 +19,7 @@ from defosc import (
     make_sequence,
 )
 from defosc.coherent import make_state
+from defosc.fibonacci import GOLDEN_Q_EXACT
 from defosc.qseries import (
     HyperSeriesSpec,
     basic_hypergeometric,
@@ -122,21 +123,30 @@ def test_q_jacobi_frozen_golden_value():
     assert got == pytest.approx(1.2984035322810843859, rel=1e-13)
 
 
+def _product_form_coeff(n, j, a, b, q):
+    # coeff_j of p_n from its q-Pochhammer products, without the term ratio
+    qbin = q_pochhammer(q, q, n) / (q_pochhammer(q, q, j) * q_pochhammer(q, q, n - j))
+    return (
+        qbin
+        * q_pochhammer(a * b * q ** (n + 1), q, j)
+        / q_pochhammer(a * q, q, j)
+        * q ** (j * (j + 1) // 2 - n * j)
+        * (-1) ** j
+    )
+
+
 def _largest_summand(n, x, a, b, q):
     # magnitude of the biggest term in the explicit sum; the computed value
     # carries roughly eps times this, which dominates near sign changes
-    worst = 0.0
-    for j in range(n + 1):
-        qbin = q_pochhammer(q, q, n) / (q_pochhammer(q, q, j) * q_pochhammer(q, q, n - j))
-        term = (
-            qbin
-            * q_pochhammer(a * b * q ** (n + 1), q, j)
-            / q_pochhammer(a * q, q, j)
-            * q ** (j * (j + 1) // 2 - n * j)
-            * x**j
-        )
-        worst = max(worst, abs(term))
-    return worst
+    return max(abs(_product_form_coeff(n, j, a, b, q) * x**j) for j in range(n + 1))
+
+
+def test_q_jacobi_term_ratio_matches_product_form_in_golden_field():
+    # exact in Q(sqrt 5) at the golden base a = q, b = 1 of the Berg table
+    q = GOLDEN_Q_EXACT
+    for n in range(17):
+        want = [_product_form_coeff(n, j, q, 1, q) for j in range(n + 1)]
+        assert little_q_jacobi_coeffs(n, q, 1, q) == want
 
 
 @pytest.mark.parametrize(
