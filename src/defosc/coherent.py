@@ -197,11 +197,12 @@ def uncertainty(
     pv = ops.p.matvec(v)
     mean_x = float(np.vdot(v, xv).real)
     mean_p = float(np.vdot(v, pv).real)
-    var_x = float(np.vdot(xv, xv).real) - mean_x**2
-    var_p = float(np.vdot(pv, pv).real) - mean_p**2
+    # centred form: <X^2> - <X>^2 cancels catastrophically when a_n >> b_n
+    cx, cp = xv - mean_x * v, pv - mean_p * v
+    d_x, d_p = math.sqrt(np.vdot(cx, cx).real), math.sqrt(np.vdot(cp, cp).real)
     comm = np.vdot(v, ops.x.matvec(pv)) - np.vdot(v, ops.p.matvec(xv))
     bound = 0.5 * abs(comm)
-    return math.sqrt(max(var_x, 0.0)), math.sqrt(max(var_p, 0.0)), float(bound)
+    return d_x, d_p, float(bound)
 
 
 def state_to_dict(state: CoherentState, residual: float | None = None) -> dict:

@@ -163,6 +163,11 @@ class GoldenNumber:
         return hash((self.r, self.s))
 
     def __float__(self) -> float:
+        if self.r * self.s < 0:
+            # r + s sqrt5 = (r^2 - 5 s^2) / (r - s sqrt5): no cancellation left
+            return float(self.r * self.r - 5 * self.s * self.s) / (
+                float(self.r) - float(self.s) * math.sqrt(5.0)
+            )
         return float(self.r) + float(self.s) * math.sqrt(5.0)
 
     def __repr__(self) -> str:

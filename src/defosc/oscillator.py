@@ -223,8 +223,8 @@ def build_operators(seq: CoefficientSequence, dim: int) -> Operators:
     """Assemble X, P, a+-, N, B(N) and H for `seq` truncated at `dim`."""
     if dim < 3:
         raise DimensionError(f"dim must be >= 3, got {dim}")
-    a_vals = np.array([seq.a(n) for n in range(dim)])
     b_vals = np.array([seq.b(n) for n in range(dim - 1)])
+    a_vals = np.array([seq.a(n) for n in range(dim)])
     # B's eigenvalues are assembled from the same sqrt(2) b_n products that
     # fill the ladder operators, so 2B(N) - a+ a- cancels exactly in floating
     # point instead of leaving eps * b_n^2 noise that commutators amplify.
@@ -288,20 +288,28 @@ class AlgebraReport:
         }
 
 
-def _check(name: str, residual: BandMatrix, tol: float) -> RelationCheck:
-    interior = residual.max_abs(skip_edge=2)
-    return RelationCheck(name, interior, residual.edge_max_abs(2), interior <= tol)
+def _number_commutator(m: BandMatrix) -> BandMatrix:
+    """[N, M] entrywise: entry (i, j) is (i - j) M_ij, i.e. -o M_o on band o = j - i."""
+    return BandMatrix(m.dim, {o: -o * v for o, v in m.bands.items()}, "generic", m.imaginary)
+
+
+def _check(name: str, tol: float, *residuals: BandMatrix) -> RelationCheck:
+    interior = _peak([r.max_abs(2) for r in residuals])
+    boundary = _peak([r.edge_max_abs(2) for r in residuals])
+    return RelationCheck(name, interior, boundary, interior <= tol)
 
 
 def verify_algebra(seq: CoefficientSequence, dim: int, tol: float = 1e-10) -> AlgebraReport:
     """Check the oscillator relations on interior rows at truncation `dim`.
 
-    Relations checked (interior = all rows/columns except the last two):
-
       1. [a-, a+] = 2 (B(N + I) - B(N))
       2. [N, a+] = a+   and   [N, a-] = -a-
       3. H = a+ a- + a- a+ is diagonal with H_nn = 2 (b_{n-1}^2 + b_n^2)
       4. the central element 2 B(N) - a+ a- vanishes and commutes with a+-
+
+    Each is an identity of the construction for any finite b_n, so a nonzero
+    residual means an arithmetic defect (NaN, overflow, subnormal rounding);
+    only xp_identity_gap depends on the family.
     """
     if dim < 4:
         raise DimensionError(f"dim must be >= 4, got {dim}")
@@ -314,28 +322,20 @@ def verify_algebra(seq: CoefficientSequence, dim: int, tol: float = 1e-10) -> Al
     # which the casimir commutator inflates by another factor b_n.
     s_last = np.sqrt(2.0) * seq.b(dim - 1)
     s_sq = np.concatenate((ops.a_plus.band(-1) ** 2, [s_last * s_last]))
-    s_prev = np.concatenate(([0.0], s_sq[:-1]))
-
     # B(N + I) has eigenvalue b_n^2 on psi_n
     b_next = BandMatrix(dim, {0: 0.5 * s_sq}, "B+")
-    lam_op = BandMatrix(dim, {0: s_prev + s_sq}, "lambda")
+    lam_op = BandMatrix(dim, {0: np.concatenate(([0.0], s_sq[:-1])) + s_sq}, "lambda")
 
-    casimir = 2.0 * ops.b_op - ops.a_plus @ ops.a_minus
+    up = ops.a_plus @ ops.a_minus
+    casimir = 2.0 * ops.b_op - up
     cas_comms = (commutator(casimir, ops.a_plus), commutator(casimir, ops.a_minus))
-    cas_comm = _peak([c.max_abs(2) for c in cas_comms])
-    cas_comm_edge = _peak([c.edge_max_abs(2) for c in cas_comms])
-
     checks = (
-        _check(
-            "ladder_commutator",
-            commutator(ops.a_minus, ops.a_plus) - 2.0 * (b_next - ops.b_op),
-            tol,
-        ),
-        _check("number_raising", commutator(ops.n_op, ops.a_plus) - ops.a_plus, tol),
-        _check("number_lowering", commutator(ops.n_op, ops.a_minus) + ops.a_minus, tol),
-        _check("hamiltonian_diagonal", ops.hamiltonian - lam_op, tol),
-        _check("casimir_zero", casimir, tol),
-        RelationCheck("casimir_commutes", cas_comm, cas_comm_edge, cas_comm <= tol),
+        _check("ladder_commutator", tol, ops.a_minus @ ops.a_plus - up - 2.0 * (b_next - ops.b_op)),
+        _check("number_raising", tol, _number_commutator(ops.a_plus) - ops.a_plus),
+        _check("number_lowering", tol, _number_commutator(ops.a_minus) + ops.a_minus),
+        _check("hamiltonian_diagonal", tol, ops.hamiltonian - lam_op),
+        _check("casimir_zero", tol, casimir),
+        _check("casimir_commutes", tol, *cas_comms),
     )
 
     xp_gap = (ops.x @ ops.x + ops.p @ ops.p - ops.hamiltonian).max_abs(2)

@@ -207,6 +207,15 @@ def _laguerre(alpha: float = 0.0) -> CoefficientSequence:
     if not (alpha > -1.0):
         raise ParameterDomainError(f"laguerre requires alpha > -1, got {alpha}")
 
+    # X^2 and the other operator products square a_n, so a_n^2 must be finite too
+    def a_fn(n: int) -> float:
+        a_n = 2.0 * n + alpha + 1.0
+        if not math.isfinite(a_n * a_n):
+            raise ParameterDomainError(
+                f"laguerre a_{n}^2 = (2n+alpha+1)^2 overflows a float at alpha={alpha}, n={n}"
+            )
+        return a_n
+
     def b_fn(n: int) -> float:
         b_sq = (n + 1.0) * (n + alpha + 1.0)
         if not math.isfinite(b_sq):
@@ -215,7 +224,7 @@ def _laguerre(alpha: float = 0.0) -> CoefficientSequence:
             )
         return math.sqrt(b_sq)
 
-    return CoefficientSequence("laguerre", {"alpha": alpha}, lambda n: 2.0 * n + alpha + 1.0, b_fn)
+    return CoefficientSequence("laguerre", {"alpha": alpha}, a_fn, b_fn)
 
 
 def _little_q_jacobi_seq(

@@ -2,12 +2,14 @@
 
 import importlib.resources
 import json
+import math
 import subprocess
 import sys
 
 import jsonschema
 import pytest
 
+from defosc import cli, custom_sequence
 from defosc.cli import main
 
 
@@ -87,8 +89,12 @@ def test_verify_dump_operators(capsys):
     assert len(ops["x"]["dense"]) == 8
 
 
-def test_verify_failure_exit_code(capsys):
-    code, out, _ = _run(capsys, ["verify", "--family", "harmonic", "--tol", "1e-18"])
+def test_verify_failure_exit_code(capsys, monkeypatch):
+    # the relations are identities of the construction, so only an arithmetic
+    # defect such as a NaN coefficient can fail them
+    nan_seq = custom_sequence(lambda n: math.nan if n == 3 else 1.0)
+    monkeypatch.setattr(cli, "_resolve_sequence", lambda eff: nan_seq)
+    code, out, _ = _run(capsys, ["verify", "--family", "harmonic"])
     assert code == 3
     assert json.loads(out)["passed"] is False
 
@@ -153,6 +159,19 @@ def test_laguerre_overflowing_b_exits_2(capsys):
         code, out, err = _run(capsys, argv)
         assert code == 2 and out == ""
         assert "alpha=1e+308, n=1" in err and "overflows" in err
+
+
+def test_laguerre_overflowing_a_exits_2(capsys):
+    # X @ X overflowed: verify exited 0 with a numpy overflow warning and a
+    # null xp_identity_gap at alpha 1e300, coherent raised an OverflowError
+    for command in (["verify"], ["coherent", "--z", "0.5"]):
+        argv = [*command, "--family", "laguerre", "--dim", "8", "--alpha"]
+        for alpha in ("1e200", "1e300"):
+            code, out, err = _run(capsys, [*argv, alpha])
+            assert code == 2 and out == ""
+            assert "a_0^2" in err and f"alpha={float(alpha)}, n=0" in err
+        # a_n^2 is finite here, and any RuntimeWarning fails the suite
+        assert _run(capsys, [*argv, "1e150"])[0] == 0
 
 
 def test_classify_csv_is_difference_table(capsys):

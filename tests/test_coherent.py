@@ -218,6 +218,15 @@ def test_uncertainty_principle_holds_for_deformed_states():
         assert dx * dp >= bound - 1e-12
 
 
+def test_uncertainty_keeps_robertson_bound_when_a_n_dominates_b_n():
+    # <X^2> - <X>^2 cancelled catastrophically: dx dp fell below the bound
+    # from alpha 1e12 and was 0.0 from 1e20
+    for alpha in (1e6, 1e12, 1e20, 1e150):
+        seq = make_sequence("laguerre", {"alpha": alpha})
+        dx, dp, bound = uncertainty(make_state(seq, 0.5, 8, strict=False), seq)
+        assert dx * dp >= bound * (1 - 1e-12), alpha
+
+
 # -- serialization --
 
 def test_state_dict_masks_non_finite_values():

@@ -234,6 +234,15 @@ def test_golden_number_sqrt():
             value.sqrt()
 
 
+def test_golden_number_float_is_accurate_for_either_sign_of_power():
+    # r + s sqrt5 cancelled to 0.0 at PHI**-40, whose value is about 4.4e-9
+    with mpmath.workdps(60):
+        phi = (1 + mpmath.sqrt(5)) / 2
+        for k in range(-200, 201):
+            want = phi**k
+            assert abs((mpmath.mpf(float(PHI**k)) - want) / want) <= 1e-15, k
+
+
 def test_golden_number_hash_and_float_coercion():
     assert hash(GoldenNumber(Fraction(1, 2), Fraction(1, 2))) == hash(PHI)
     assert len({PHI, GoldenNumber(Fraction(1, 2), Fraction(1, 2)), GoldenNumber(1)}) == 2

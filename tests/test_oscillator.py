@@ -27,6 +27,16 @@ RELATION_NAMES = (
     "casimir_commutes",
 )
 
+REGISTERED_FAMILIES = (
+    ("harmonic", None),
+    ("chebyshev-t", None),
+    ("chebyshev-u", None),
+    ("laguerre", {"alpha": 0.5}),
+    ("little-q-jacobi", {"a": 0.5, "b": 0.5, "q": 0.5}),
+    ("fibonacci-golden", None),
+    ("ismail-theta", {"theta": math.asinh(0.5), "alpha": 2.0}),
+)
+
 
 def _random_band(rng, dim, imaginary=False, integers=True):
     bands = {}
@@ -238,9 +248,50 @@ def test_verify_laguerre_half():
     assert report.passed
 
 
-def test_verify_fails_at_unreachable_tolerance():
-    report = verify_algebra(make_sequence("harmonic"), 64, tol=1e-16)
-    assert not report.passed
+def test_registered_family_residuals_vanish_at_tol_zero():
+    # every relation is an identity of the construction, so no rounding
+    # noise is left for a tight tolerance to reject
+    for name, params in REGISTERED_FAMILIES:
+        report = verify_algebra(make_sequence(name, params), 64, tol=0.0)
+        assert report.passed, name
+        assert all(r.interior_residual == 0.0 for r in report.relations), name
+
+
+@pytest.mark.parametrize("dim", [64, 1024, 4096])
+@pytest.mark.parametrize("name, params", REGISTERED_FAMILIES)
+def test_number_relations_are_exact(name, params, dim):
+    report = verify_algebra(make_sequence(name, params), dim)
+    for r in report.relations:
+        if r.name in ("number_raising", "number_lowering"):
+            assert (r.interior_residual, r.boundary_residual) == (0.0, 0.0), r.name
+
+
+@pytest.mark.parametrize(
+    "name, params, dim",
+    [
+        ("laguerre", {"alpha": 0.5}, 1024),
+        ("laguerre", {"alpha": 0.5}, 4096),
+        ("harmonic", None, 16384),
+    ],
+)
+def test_verify_passes_at_large_dim(name, params, dim):
+    # [N, a+-] from two band products left eps * n * b_n rounding here
+    assert verify_algebra(make_sequence(name, params), dim, tol=1e-10).passed
+
+
+def test_verify_forms_each_band_product_once(monkeypatch):
+    calls = []
+    matmul = BandMatrix.__matmul__
+
+    def counting(self, other):
+        calls.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(BandMatrix, "__matmul__", counting)
+    verify_algebra(make_sequence("harmonic"), 16)
+    # H (2), a+ a- shared by the casimir and [a-, a+] (1), a- a+ (1),
+    # [C, a+-] (4), X^2 + P^2 (2)
+    assert len(calls) == 10
 
 
 def test_verify_report_dict():
