@@ -5,12 +5,14 @@ in the orthonormal polynomial basis, and squared norm
 
     N(|z|^2) = sum_n |z|^{2n} / prod_{k<n} (2 b_k^2).
 
-For families whose b_n decay (the golden family does, like q^n) this series
-diverges for every |z| > 0; the truncated state is still well defined as the
-normalized finite section, and the eigenvector relation a-|z> = z|z> holds on
-interior coordinates by construction.  Coefficients are therefore assembled in
-log space: the partial normalization sum may overflow to inf while its log
-companion and the normalized coefficients stay finite.
+It converges exactly when |z|^2 < R^2 = lim 2 b_n^2, the radius each family
+states as CoefficientSequence.radius_sq.  For the q-families, whose b_n decay
+like |q|^n, R^2 = 0 and the series diverges for every |z| > 0; the truncated
+state is still well defined as the normalized finite section, and the
+eigenvector relation a-|z> = z|z> holds on interior coordinates by
+construction.  Coefficients are therefore assembled in log space: the partial
+normalization sum may overflow to inf while its log companion and the
+normalized coefficients stay finite.
 """
 
 from __future__ import annotations
@@ -40,14 +42,14 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_NORMALIZATION_TOL = 1e-12
+_NORMALIZATION_MAX_TERMS = 10000
 
 
-def normalization(
-    seq: CoefficientSequence, r2: float, tol: float = 1e-12, max_terms: int = 10000
-) -> float:
+def normalization(seq: CoefficientSequence, r2: float) -> float:
     """N(r2) = sum_n r2^n / prod_{k<n} 2 b_k^2 for a convergent series.
 
-    The term ratios r2 / (2 b_m^2) of its first max_terms terms go to
+    The term ratios r2 / (2 b_m^2) of its first 10000 terms go to
     qseries.sum_ratio_series, whose stopping rule and DivergenceError every
     series of the package shares.  A partial sum at a fixed depth is the
     norm_constant of make_state(seq, sqrt(r2), depth, strict=False).
@@ -58,13 +60,13 @@ def normalization(
         return 1.0
 
     def ratios():
-        for m in range(1, max_terms):
+        for m in range(1, _NORMALIZATION_MAX_TERMS):
             denom = 2.0 * seq.b_squared(m - 1)
             if denom == 0.0:
                 raise ZeroCoefficientError(f"b_{m - 1} = 0: term {m} undefined")
             yield r2 / denom
 
-    return qseries.sum_ratio_series(ratios(), tol).value
+    return qseries.sum_ratio_series(ratios(), _NORMALIZATION_TOL).value
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,10 +74,11 @@ class CoherentState:
     """Normalized truncated eigenstate of the annihilation operator.
 
     norm_constant is the partial normalization sum over the kept levels (inf
-    if it overflows; log_norm_constant is always finite).  tail_bound is a
-    geometric estimate of the discarded coefficient mass sum_{n>=dim} |c_n|^2,
-    inf when the underlying series diverges (convergent = False), in which
-    case the state is the exact normalized finite section.
+    if it overflows; log_norm_constant is always finite).  convergent is
+    |z|^2 < R^2 (or z = 0).  tail_bound bounds the discarded coefficient mass
+    sum_{n>=dim} |c_n|^2: geometric from the edge ratio, the trivial 1.0 when
+    that ratio is >= 1, and inf when the series diverges, in which case the
+    state is the exact normalized finite section.
     """
 
     z: complex
@@ -87,9 +90,6 @@ class CoherentState:
     convergent: bool
 
 
-_EDGE_SAMPLE = 32  # ratios checked past the truncation edge for the tail bound
-
-
 def make_state(
     seq: CoefficientSequence,
     z: complex,
@@ -99,10 +99,12 @@ def make_state(
 ) -> CoherentState:
     """Build |z> truncated at `dim` levels.
 
-    In the convergent regime a tail_bound above tol raises TruncationError
-    carrying a suggested dimension, None if no finite one meets tol (unless
+    Convergent means |z|^2 < seq.radius_sq, never for custom_sequence (NaN).
+    There a tail_bound above tol raises TruncationError carrying a suggested
+    dimension, None if the edge bound gives no finite one (unless
     strict=False, which returns the state flagged instead).  In the divergent
     regime no truncation error is possible: every finite section is exact.
+    Reads b_0..b_{dim-2}, and b_{dim-1} only when convergent.
     """
     if dim < 2:
         raise DimensionError(f"dim must be >= 2, got {dim}")
@@ -130,7 +132,8 @@ def make_state(
         step = _SQRT2 * seq.b(n - 1)
         if step == 0.0:
             raise ZeroCoefficientError(
-                f"b_{n - 1} = 0: levels above {n - 1} are unreachable"
+                f"b_{n - 1} = 0 in double precision (a true zero or an underflow): "
+                f"levels above {n - 1} are unreachable"
             )
         acc += math.log(step)
         logs[n] = n * log_r - acc
@@ -147,24 +150,20 @@ def make_state(
     except OverflowError:
         norm_constant = math.inf
 
-    # squared-amplitude ratios t_{k+1}^2 / t_k^2 = r2 / (2 b_k^2) past the edge
-    ratios = []
-    for k in range(dim - 1, dim - 1 + _EDGE_SAMPLE):
-        b_sq = seq.b_squared(k)
-        if b_sq == 0.0:
-            raise ZeroCoefficientError(f"b_{k} = 0: the tail past level {dim - 1} is undefined")
-        ratios.append(r2 / (2.0 * b_sq))
-    rho = max(ratios)
-    if rho >= 1.0:
+    if not r2 < seq.radius_sq:
         return CoherentState(z, dim, coeffs, norm_constant, log_norm, math.inf, False)
 
+    # 2 b_k^2 of a convergent family rises to R^2 (or is constant from k = 1), so
+    # rho = t_dim^2 / t_{dim-1}^2 bounds every later ratio t_{k+1}^2 / t_k^2
+    rho = r2 / (2.0 * seq.b_squared(dim - 1))
     edge_sq = float(scaled[dim - 1] ** 2)  # t_{dim-1}^2 / e^{2 shift}
-    tail_scaled = edge_sq * ratios[0] / (1.0 - rho)
-    tail_bound = tail_scaled / (sum_sq + tail_scaled)
+    tail_bound = 1.0
+    if rho < 1.0:
+        tail_scaled = edge_sq * rho / (1.0 - rho)
+        tail_bound = tail_scaled / (sum_sq + tail_scaled)
     if strict and tail_bound > tol:
-        # extra levels needed for the geometric tail to drop below tol; no
-        # finite dimension reaches tol = 0
-        target = tol * sum_sq * (1.0 - rho) / (edge_sq * ratios[0])
+        # levels until the geometric tail drops below tol; none if tol = 0 or rho >= 1
+        target = tol * sum_sq * (1.0 - rho) / (edge_sq * rho) if rho < 1.0 else 0.0
         suggested = None
         if target > 0.0:
             suggested = dim + max(2, math.ceil(math.log(target) / math.log(rho)))

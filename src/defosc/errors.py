@@ -20,6 +20,10 @@ class NonPositiveDefiniteError(DefoscError, ValueError):
 class UnknownFamilyError(DefoscError, KeyError):
     """Requested family name is not registered."""
 
+    def __str__(self) -> str:
+        # KeyError.__str__ would quote the message as the repr of a key
+        return Exception.__str__(self)
+
 
 class DimensionError(DefoscError, ValueError):
     """Truncation dimension is too small for the requested operation."""

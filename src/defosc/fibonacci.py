@@ -165,13 +165,31 @@ class GoldenNumber:
     def __float__(self) -> float:
         if self.r * self.s < 0:
             # r + s sqrt5 = (r^2 - 5 s^2) / (r - s sqrt5): no cancellation left
-            return float(self.r * self.r - 5 * self.s * self.s) / (
-                float(self.r) - float(self.s) * math.sqrt(5.0)
-            )
+            num = self.r * self.r - 5 * self.s * self.s
+            try:
+                den = float(self.r) - float(self.s) * math.sqrt(5.0)
+                if not math.isinf(den):
+                    return float(num) / den
+            except OverflowError:
+                pass
+            # r, s or num overflow a double while the value may not: convert
+            # them scaled by powers of two, then restore the exponent
+            e = max(_log2_size(self.r), _log2_size(self.s))
+            m = _log2_size(num)
+            den = float(self.r / _TWO**e) - float(self.s / _TWO**e) * math.sqrt(5.0)
+            return math.ldexp(float(num / _TWO**m) / den, m - e)
         return float(self.r) + float(self.s) * math.sqrt(5.0)
 
     def __repr__(self) -> str:
         return f"GoldenNumber({self.r!r}, {self.s!r})"
+
+
+_TWO = Fraction(2)
+
+
+def _log2_size(x: Fraction) -> int:
+    """e with 2^(e-1) < |x| < 2^(e+1), for x != 0."""
+    return abs(x.numerator).bit_length() - x.denominator.bit_length()
 
 
 def _rational_sqrt(x: Fraction) -> Fraction | None:

@@ -98,10 +98,6 @@ class BandMatrix:
     def super(self) -> np.ndarray:
         return self.band(1)
 
-    @property
-    def sub(self) -> np.ndarray:
-        return self.band(-1)
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex if self.imaginary else float)
         unit = 1j if self.imaginary else 1.0

@@ -87,7 +87,12 @@ def little_q_jacobi_monic_coeffs(p: QParams, n: int) -> tuple[float, float]:
 
 
 class CoefficientSequence:
-    """Memoized recurrence coefficients a_n, b_n of one family instance."""
+    """Memoized recurrence coefficients a_n, b_n of one family instance.
+
+    radius_sq is R^2 = lim 2 b_n^2, the radius of convergence in |z|^2 of the
+    coherent-state norm series sum_n |z|^{2n} / prod_{k<n} 2 b_k^2; NaN when
+    the family does not state it.
+    """
 
     def __init__(
         self,
@@ -95,9 +100,11 @@ class CoefficientSequence:
         params: dict,
         a_fn: Callable[[int], float],
         b_fn: Callable[[int], float],
+        radius_sq: float = math.nan,
     ):
         self.family_id = family_id
         self.params = dict(params)
+        self.radius_sq = radius_sq
         self._a_fn = a_fn
         self._b_fn = b_fn
         self._a_cache: dict[int, float] = {}
@@ -148,7 +155,11 @@ def custom_sequence(
     family_id: str = "custom",
     params: dict | None = None,
 ) -> CoefficientSequence:
-    """Wrap raw callables as a sequence (no positivity check, for tests and fits)."""
+    """Wrap raw callables as a sequence (no positivity check, for tests and fits).
+
+    Its radius of convergence R^2 is unknown (NaN), so make_state treats its
+    coherent states as divergent: the exact normalized finite section.
+    """
     if a_fn is None:
         a_fn = lambda n: 0.0
     return CoefficientSequence(family_id, params or {}, a_fn, b_fn)
@@ -186,8 +197,14 @@ class FamilySpec:
     factory: Callable[..., CoefficientSequence] = field(repr=False)
 
 
+# Each family states R^2 = lim 2 b_n^2 next to its b_n: inf where b_n grows,
+# 1/2 where b_n -> 1/2, and 0 for the q-families, whose b_n decay like |q|^n.
+
+
 def _harmonic() -> CoefficientSequence:
-    return CoefficientSequence("harmonic", {}, lambda n: 0.0, lambda n: math.sqrt((n + 1) / 2.0))
+    return CoefficientSequence(
+        "harmonic", {}, lambda n: 0.0, lambda n: math.sqrt((n + 1) / 2.0), radius_sq=math.inf
+    )
 
 
 def _chebyshev_t() -> CoefficientSequence:
@@ -196,11 +213,12 @@ def _chebyshev_t() -> CoefficientSequence:
         {},
         lambda n: 0.0,
         lambda n: 1.0 / math.sqrt(2.0) if n == 0 else 0.5,
+        radius_sq=0.5,
     )
 
 
 def _chebyshev_u() -> CoefficientSequence:
-    return CoefficientSequence("chebyshev-u", {}, lambda n: 0.0, lambda n: 0.5)
+    return CoefficientSequence("chebyshev-u", {}, lambda n: 0.0, lambda n: 0.5, radius_sq=0.5)
 
 
 def _laguerre(alpha: float = 0.0) -> CoefficientSequence:
@@ -224,7 +242,7 @@ def _laguerre(alpha: float = 0.0) -> CoefficientSequence:
             )
         return math.sqrt(b_sq)
 
-    return CoefficientSequence("laguerre", {"alpha": alpha}, a_fn, b_fn)
+    return CoefficientSequence("laguerre", {"alpha": alpha}, a_fn, b_fn, radius_sq=math.inf)
 
 
 def _little_q_jacobi_seq(
@@ -245,7 +263,7 @@ def _little_q_jacobi_seq(
             )
         return scale * math.sqrt(b_sq)
 
-    return CoefficientSequence(family_id, params, a_fn, b_fn)
+    return CoefficientSequence(family_id, params, a_fn, b_fn, radius_sq=0.0)
 
 
 def _little_q_jacobi(a: float, b: float, q: float) -> CoefficientSequence:

@@ -102,8 +102,13 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 def test_verify_invalid_inputs(capsys):
     code, _, err = _run(capsys, ["verify", "--family", "harmonic", "--dim", "2"])
     assert code == 2 and "error" in err
+    # the message was wrapped in quotes as the repr of a KeyError argument
     code, _, err = _run(capsys, ["verify", "--family", "nope"])
     assert code == 2
+    assert err == (
+        "defosc: error: unknown family 'nope'; known: harmonic, chebyshev-t, chebyshev-u,"
+        " laguerre, little-q-jacobi, fibonacci-golden, ismail-theta\n"
+    )
     code, _, err = _run(capsys, ["verify"])
     assert code == 2 and "--family" in err
     # --a q without an explicit --q cannot be resolved
@@ -242,8 +247,21 @@ def test_coherent_huge_z_exits_2(capsys):
     # was exit 1 with an OverflowError traceback from |z|^2
     code, out, err = _run(capsys, ["coherent", "--family", "harmonic", "--z", "1e200", "--dim", "8"])
     assert code == 2 and out == "" and "z" in err
-    code, _, _ = _run(capsys, ["coherent", "--family", "harmonic", "--z", "1e150", "--dim", "8"])
-    assert code == 0
+    # valid input: the harmonic series converges, but dim 8 cannot hold it
+    code, out, _ = _run(
+        capsys, ["coherent", "--family", "harmonic", "--z", "1e150", "--dim", "8", "--format", "json"]
+    )
+    assert code == 3 and json.loads(out)["states"][0]["truncation_ok"] is False
+
+
+def test_coherent_convergent_state_past_the_edge_exits_3(capsys):
+    # |z|^2 = 900 >= 2 b_63^2 = 64 was called divergent, with truncation_ok true
+    argv = ["coherent", "--family", "harmonic", "--z", "30", "--dim", "64", "--format", "json"]
+    payload = _run_json(capsys, argv, expect_code=3)
+    state = payload["states"][0]
+    assert state["convergent"] is True
+    assert state["truncation_ok"] is False
+    assert state["tail_bound"] == 1.0
 
 
 # -- fib subcommands --

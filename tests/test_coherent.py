@@ -12,6 +12,7 @@ from defosc import (
     TruncationError,
     ZeroCoefficientError,
     custom_sequence,
+    family_names,
     make_sequence,
 )
 from defosc.coherent import (
@@ -38,12 +39,20 @@ def test_factorial_base_cases():
 
 def test_factorial_rejects_zero_coefficient():
     # b_3 = 0: level 4 is unreachable, so the product up to level 4 is undefined;
-    # at dim 3 and 4 the zero lies among the edge ratios past the kept levels,
-    # where it was a bare ZeroDivisionError
+    # at dim 3 and 4 no kept level uses b_3, and nothing past them is read
     seq = custom_sequence(lambda n: 0.0 if n == 3 else 1.0)
-    for dim in (3, 4, 5):
-        with pytest.raises(ZeroCoefficientError, match="b_3 = 0"):
-            make_state(seq, 0.5, dim, strict=False)
+    for dim in (3, 4):
+        assert not make_state(seq, 0.5, dim, strict=False).convergent
+    with pytest.raises(ZeroCoefficientError, match="b_3 = 0"):
+        make_state(seq, 0.5, 5, strict=False)
+
+
+def test_zero_coefficient_message_names_underflow():
+    # b_386 = 2.2e-162 and b_387 underflows to 0.0; the message called the
+    # level unreachable as if b_387 were a true zero
+    with pytest.raises(ZeroCoefficientError, match="b_387 = 0 in double precision") as exc:
+        make_state(make_sequence("fibonacci-golden"), 0.3, 400)
+    assert "underflow" in str(exc.value)
 
 
 # -- normalization series --
@@ -176,7 +185,11 @@ def test_make_state_validation():
     for z in (1e200, 1e200j, -1.4e154):
         with pytest.raises(ParameterDomainError, match="z"):
             make_state(seq, z, 8)
-    assert make_state(seq, 1e150, 8).dim == 8
+    # |z|^2 = 1e300 < R^2 = inf: convergent, and dim 8 holds none of it
+    with pytest.raises(TruncationError) as exc:
+        make_state(seq, 1e150, 8)
+    assert exc.value.suggested_dim is None
+    assert make_state(seq, 1e150, 8, strict=False).dim == 8
 
 
 def test_truncation_error_without_finite_suggestion():
@@ -186,6 +199,101 @@ def test_truncation_error_without_finite_suggestion():
         make_state(seq, 3.0, 16, tol=0.0)
     assert exc.value.suggested_dim is None
     assert make_state(seq, 3.0, 16, tol=0.0, strict=False).tail_bound > 0.0
+
+
+# -- convergence from the radius R^2 = lim 2 b_n^2 --
+
+RADIUS_SQ = {
+    "harmonic": math.inf,
+    "chebyshev-t": 0.5,
+    "chebyshev-u": 0.5,
+    "laguerre": math.inf,
+    "little-q-jacobi": 0.0,
+    "fibonacci-golden": 0.0,
+    "ismail-theta": 0.0,
+}
+
+FAMILY_INSTANCES = [
+    ("harmonic", {}),
+    ("chebyshev-t", {}),
+    ("chebyshev-u", {}),
+    ("laguerre", {}),
+    ("laguerre", {"alpha": -0.5}),
+    ("little-q-jacobi", {"a": 0.3, "b": 0.6, "q": 0.99}),
+    ("little-q-jacobi", {"a": 0.5, "b": 0.5, "q": 0.5}),
+    ("fibonacci-golden", {}),
+    ("ismail-theta", {"theta": 0.05}),
+    ("ismail-theta", {"theta": 0.7}),
+]
+
+
+def test_radius_matches_far_coefficients():
+    assert {name for name, _ in FAMILY_INSTANCES} == set(RADIUS_SQ) == set(family_names())
+    for name, params in FAMILY_INSTANCES:
+        seq = make_sequence(name, params)
+        assert seq.radius_sq == RADIUS_SQ[name]
+        far = 2.0 * seq.b_squared(4095)
+        if seq.radius_sq == math.inf:
+            assert far >= 4096.0
+        elif seq.radius_sq == 0.5:
+            assert far == 0.5
+        elif params.get("q") != 0.99:  # there 2 b_4095^2 is still near 1e-36
+            assert far < 1e-300, (name, params)
+
+
+@pytest.mark.parametrize("name, params", FAMILY_INSTANCES)
+def test_convergent_iff_inside_radius(name, params):
+    # the verdict came from 32 edge ratios: harmonic and Laguerre were divergent
+    # once |z|^2 >= 2 b_{dim-1}^2, slowly decaying q-families convergent at small |z|
+    seq = make_sequence(name, params)
+    r2_limit = RADIUS_SQ[name]
+    for dim in (2, 3, 8, 64, 256):
+        edge = 2.0 * seq.b_squared(dim - 1)
+        radii = [1e-6, 0.3, 1.0, 30.0, math.sqrt(edge) * 0.999, math.sqrt(edge) * 1.001]
+        if r2_limit == 0.5:
+            radii += [math.sqrt(0.5) * 0.999, math.sqrt(0.5) * 1.001]
+        for r in radii:
+            z = r * complex(0.6, 0.8)
+            st = make_state(seq, z, dim, strict=False)
+            assert st.convergent == (abs(z) ** 2 < r2_limit), (dim, r)
+            if not st.convergent:
+                assert st.tail_bound == math.inf
+            elif abs(z) ** 2 >= edge:
+                assert st.tail_bound == 1.0
+            else:
+                assert 0.0 <= st.tail_bound < 1.0
+
+
+def test_convergent_state_past_the_edge_ratio():
+    # |z|^2 = 900 >= 2 b_63^2 = 64: the series converges, but no geometric
+    # bound starts at the edge, so the tail bound is the trivial 1.0
+    seq = make_sequence("harmonic")
+    st = make_state(seq, 30.0, 64, strict=False)
+    assert st.convergent
+    assert st.tail_bound == 1.0
+    with pytest.raises(TruncationError) as exc:
+        make_state(seq, 30.0, 64)
+    assert exc.value.suggested_dim is None
+
+
+def test_slowly_decaying_q_family_diverges_at_small_z():
+    seq = make_sequence("little-q-jacobi", {"a": 0.3, "b": 0.6, "q": 0.99})
+    st = make_state(seq, 1e-6, 8)
+    assert not st.convergent
+    assert st.tail_bound == math.inf
+
+
+def test_custom_sequence_is_divergent_and_read_only_to_the_last_kept_level():
+    calls = []
+
+    def b_fn(n):
+        calls.append(n)
+        return 1.0
+
+    st = make_state(custom_sequence(b_fn), 0.5, 8)
+    assert not st.convergent
+    assert st.tail_bound == math.inf
+    assert sorted(calls) == list(range(7))  # b_0 .. b_{dim-2}
 
 
 # -- observables --

@@ -243,6 +243,24 @@ def test_golden_number_float_is_accurate_for_either_sign_of_power():
             assert abs((mpmath.mpf(float(PHI**k)) - want) / want) <= 1e-15, k
 
 
+def test_golden_number_float_near_the_bottom_of_the_double_range():
+    # r - s sqrt5 of PHI**k overflows a double from k = -1475: the conversion
+    # gave 0.0 at k = -1475 and -1476 and raised OverflowError from k = -1477,
+    # though the values run from 5.5e-309 down past the smallest subnormal
+    with mpmath.workdps(60):
+        phi = (1 + mpmath.sqrt(5)) / 2
+        for k in range(-1560, -1469):
+            want = phi**k
+            got = float(PHI**k)
+            if want < mpmath.mpf(2) ** -1075:
+                assert got == 0.0, k
+            else:
+                assert abs(got - float(want)) <= math.ulp(float(want)), k
+    for k in range(1477, 1481):  # phi^1477 is about 4.7e308
+        with pytest.raises(OverflowError):
+            float(PHI**k)
+
+
 def test_golden_number_hash_and_float_coercion():
     assert hash(GoldenNumber(Fraction(1, 2), Fraction(1, 2))) == hash(PHI)
     assert len({PHI, GoldenNumber(Fraction(1, 2), Fraction(1, 2)), GoldenNumber(1)}) == 2
