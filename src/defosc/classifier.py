@@ -8,6 +8,10 @@ differences of b_n^2 are computed as diagnostic output: row j of the table
 is constant for every quadratic, so the smallest non-constant row witnesses
 a non-quadratic sequence.
 
+Every tolerance is relative to one scale S = max_{n <= n_max} b_n^2, the
+largest b_n^2 in the window.  The factored form is unchanged by
+b_n^2 -> c b_n^2, and so is every verdict.
+
 Verdicts are "up to n_max": a sequence that departs from the factored form
 only beyond the tested range is reported Finite.
 """
@@ -17,9 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, ZeroCoefficientError
 from .recurrence import CoefficientSequence
 
 __all__ = [
@@ -38,26 +40,36 @@ INFINITE = "Infinite"
 INCONCLUSIVE = "Inconclusive"
 
 
+def _nonzero_scale(scale: float, n_max: int) -> float:
+    if scale == 0.0:
+        raise ZeroCoefficientError(
+            f"every b_n^2 with n <= {n_max} is 0 in double precision "
+            "(a true zero or an underflow): no oscillator to classify"
+        )
+    return scale
+
+
 @dataclass(frozen=True)
 class DifferenceTable:
     """Iterated forward differences A^(j)_n of b_n^2.
 
     Row 0 is A^(0)_n = b_n^2 - b_{n-1}^2 with b_{-1} = 0, for 0 <= n <= n_max;
     row j is the forward difference of row j-1, for 0 <= n <= n_max - j.
+    scale is S = max_{n <= n_max} b_n^2, as difference_table found it.
     """
 
     n_max: int
     j_max: int
     rows: tuple[tuple[float, ...], ...]
+    scale: float
 
     def row(self, j: int) -> tuple[float, ...]:
         return self.rows[j]
 
     def spread(self, j: int) -> float:
-        """max - min of row j, normalized by max(1, max |entry|)."""
-        vals = np.asarray(self.rows[j])
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        return float(vals.max() - vals.min()) / scale
+        """max - min of row j over S; ZeroCoefficientError when S = 0."""
+        row = self.rows[j]
+        return (max(row) - min(row)) / _nonzero_scale(self.scale, self.n_max)
 
     def csv_rows(self):
         for j, row in enumerate(self.rows):
@@ -80,14 +92,13 @@ def difference_table(seq: CoefficientSequence, n_max: int, j_max: int) -> Differ
         raise ParameterDomainError(
             f"n_max must be >= j_max + 2, got n_max={n_max}, j_max={j_max}"
         )
-    b_sq = np.array([seq.b_squared(n) for n in range(n_max + 1)])
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN in the table, not a warning
-        row = np.diff(b_sq, prepend=0.0)  # A^(0)_0 = b_0^2 via b(-1) = 0
-        rows = [tuple(float(v) for v in row)]
-        for _ in range(j_max):
-            row = np.diff(row)
-            rows.append(tuple(float(v) for v in row))
-    return DifferenceTable(n_max, j_max, tuple(rows))
+    b_sq = [seq.b_squared(n) for n in range(n_max + 1)]
+    row = [b - prev for prev, b in zip([0.0, *b_sq], b_sq)]  # A^(0)_0 = b_0^2 via b_{-1} = 0
+    rows = [tuple(row)]
+    for _ in range(j_max):
+        row = [b - a for a, b in zip(row, row[1:])]
+        rows.append(tuple(row))
+    return DifferenceTable(n_max, j_max, tuple(rows), max(b_sq))
 
 
 def fit_beta(seq: CoefficientSequence) -> tuple[float, float]:
@@ -107,12 +118,12 @@ class ClassificationResult:
     verdict: str
     n_max: int
     tolerance: float
-    fit_residual: float  # max_n |b_n^2 - (beta0+beta2 n)(1+n)| / max(1, b_n^2)
+    fit_residual: float  # max_n |b_n^2 - (beta0+beta2 n)(1+n)| / S, S = max_n b_n^2
     beta0: float | None = None  # Finite only
     beta2: float | None = None
     dim: int | None = None  # 4 when Finite
     witness_j: int | None = None  # Infinite only
-    row_spreads: tuple[float, ...] | None = None  # normalized spreads of rows 1, 2
+    row_spreads: tuple[float, ...] | None = None  # spreads of rows 1, 2 over S
 
     def to_dict(self) -> dict:
         return {
@@ -133,27 +144,26 @@ def classify(
 ) -> ClassificationResult:
     """Decide Finite (dim 4) vs Infinite from b_n^2 over n <= n_max.
 
-    Finite iff |b_n^2 - (beta0 + beta2 n)(1 + n)| <= tol * max(1, b_n^2) for
-    every n <= n_max, with (beta0, beta2) from fit_beta.  Otherwise Infinite,
-    with witness_j the smallest j in {1, 2} whose difference-table row is
-    non-constant beyond tol (rows j >= 3 of any quadratic vanish, so a
-    non-constant low row certifies non-quadratic b_n^2).  Inconclusive when
-    the factored-form check fails but both rows look constant, i.e. numeric
-    noise straddles the tolerance, or when some b_n^2 is NaN; both
-    residuals are reported.
+    Finite iff |b_n^2 - (beta0 + beta2 n)(1 + n)| <= tol * S for every
+    n <= n_max, with (beta0, beta2) from fit_beta and S = max_{n <= n_max}
+    b_n^2.  Otherwise Infinite, with witness_j the smallest j in {1, 2}
+    whose difference-table row spreads by more than tol * S (rows j >= 3 of
+    any quadratic vanish, so a non-constant low row certifies non-quadratic
+    b_n^2).  Inconclusive when the factored-form check fails but both rows
+    look constant, i.e. numeric noise straddles the tolerance, or when some
+    b_n^2 is NaN; the residuals found are reported.  S = 0, every b_n^2 a
+    zero or an underflow, raises ZeroCoefficientError.
     """
     if n_max < 8:
         raise ParameterDomainError(f"n_max must be >= 8, got {n_max}")
     if not 0.0 <= tol < math.inf:
         raise ParameterDomainError(f"tol must be finite and >= 0, got {tol}")
     beta0, beta2 = fit_beta(seq)
-    fit_residual = 0.0
-    for n in range(n_max + 1):
-        b_sq = seq.b_squared(n)
-        r = abs(b_sq - (beta0 + beta2 * n) * (1.0 + n)) / max(1.0, b_sq)
-        # a NaN residual sticks (max(0.0, nan) would drop it), so it is never Finite
-        if r > fit_residual or r != r:
-            fit_residual = r
+    b_sq = [seq.b_squared(n) for n in range(n_max + 1)]
+    if math.isnan(sum(b_sq)):  # a NaN b_n^2 fits no form and decides nothing
+        return ClassificationResult(INCONCLUSIVE, n_max, tol, math.nan)
+    residual = max(abs(b - (beta0 + beta2 * n) * (1.0 + n)) for n, b in enumerate(b_sq))
+    fit_residual = residual / _nonzero_scale(max(b_sq), n_max)
     if fit_residual <= tol:
         return ClassificationResult(
             FINITE, n_max, tol, fit_residual, beta0=beta0, beta2=beta2, dim=4

@@ -163,33 +163,19 @@ class GoldenNumber:
         return hash((self.r, self.s))
 
     def __float__(self) -> float:
-        if self.r * self.s < 0:
-            # r + s sqrt5 = (r^2 - 5 s^2) / (r - s sqrt5): no cancellation left
-            num = self.r * self.r - 5 * self.s * self.s
-            try:
-                den = float(self.r) - float(self.s) * math.sqrt(5.0)
-                if not math.isinf(den):
-                    return float(num) / den
-            except OverflowError:
-                pass
-            # r, s or num overflow a double while the value may not: convert
-            # them scaled by powers of two, then restore the exponent
-            e = max(_log2_size(self.r), _log2_size(self.s))
-            m = _log2_size(num)
-            den = float(self.r / _TWO**e) - float(self.s / _TWO**e) * math.sqrt(5.0)
-            return math.ldexp(float(num / _TWO**m) / den, m - e)
-        return float(self.r) + float(self.s) * math.sqrt(5.0)
+        # (a + b sqrt5) / d over one denominator d.  Unless a = b = 0, a^2 - 5 b^2
+        # is a nonzero integer, so |a + b sqrt5| > 1 / (|a| + 3|b|).  With k 64
+        # bits past that bound, the integer part of b sqrt5 2^k leaves the
+        # scaled numerator within 2^-64 of itself, and the division rounds once
+        d = math.lcm(self.r.denominator, self.s.denominator)
+        a = self.r.numerator * (d // self.r.denominator)
+        b = self.s.numerator * (d // self.s.denominator)
+        k = 64 + (abs(a) + 3 * abs(b)).bit_length()
+        root = math.isqrt(5 * b * b << 2 * k)
+        return ((a << k) + (root if b >= 0 else -root)) / (d << k)
 
     def __repr__(self) -> str:
         return f"GoldenNumber({self.r!r}, {self.s!r})"
-
-
-_TWO = Fraction(2)
-
-
-def _log2_size(x: Fraction) -> int:
-    """e with 2^(e-1) < |x| < 2^(e+1), for x != 0."""
-    return abs(x.numerator).bit_length() - x.denominator.bit_length()
 
 
 def _rational_sqrt(x: Fraction) -> Fraction | None:

@@ -33,6 +33,7 @@ __all__ = [
 
 _INF_TOL = 1e-17
 _INF_MAX_TERMS = 100_000
+_SERIES_MAX_TERMS = 10_000
 
 
 def q_pochhammer(a: float, q: float, n: int | float | None) -> float:
@@ -112,7 +113,8 @@ class HyperSeriesSpec:
 
     numerator/denominator hold the upper and lower parameters; q is the base,
     z the argument.  The standard convention multiplies term k by
-    ((-1)^k q^binom(k,2))^(1 + s - r).
+    ((-1)^k q^binom(k,2))^(1 + s - r).  tol is the relative size of the
+    terms that end the sum; every series stops at 10,000 terms at most.
     """
 
     numerator: tuple[float, ...]
@@ -120,15 +122,12 @@ class HyperSeriesSpec:
     q: float
     z: float
     tol: float = 1e-14
-    max_terms: int = 10_000
 
     def __post_init__(self) -> None:
         if not (0.0 < abs(self.q) < 1.0):
             raise ParameterDomainError(f"require 0 < |q| < 1, got q={self.q}")
         if not 0.0 < self.tol < math.inf:
             raise ParameterDomainError(f"tol must be finite and positive, got {self.tol}")
-        if self.max_terms < 1:
-            raise ParameterDomainError(f"max_terms must be >= 1, got {self.max_terms}")
 
 
 @dataclass(frozen=True)
@@ -180,7 +179,7 @@ def basic_hypergeometric(spec: HyperSeriesSpec) -> HyperSeriesResult:
     """Sum an r_phi_s series with tail control and divergence detection.
 
     Its term ratios, the Pochhammer multipliers, go to sum_ratio_series (at
-    most max_terms of them): the sum stops once two consecutive decreasing
+    most 10,000 of them): the sum stops once two consecutive decreasing
     terms fall below tol relative to it, and growing ratios or running out
     of terms raise DivergenceError.  A vanishing denominator factor raises
     DegenerateParameterError.
@@ -189,7 +188,7 @@ def basic_hypergeometric(spec: HyperSeriesSpec) -> HyperSeriesResult:
     q, z = spec.q, spec.z
 
     def multipliers():
-        for k in range(spec.max_terms):
+        for k in range(_SERIES_MAX_TERMS):
             qk = q**k
             num = 1.0
             for a in spec.numerator:

@@ -79,6 +79,8 @@ def little_q_jacobi_monic_coeffs(p: QParams, n: int) -> tuple[float, float]:
     a_den = _nonzero(1.0 - ab * q ** (2 * n + 1), "1 - a*b*q^(2n+1)") * _nonzero(
         1.0 - ab * q ** (2 * n + 2), "1 - a*b*q^(2n+2)"
     )
+    if n == 0:  # C_0 multiplies p_{-1} = 0; its closed form is 0/0 at ab = 1 (q-Legendre)
+        return a_num / a_den, 0.0
     c_num = a * q**n * (1.0 - q**n) * (1.0 - b * q**n)
     c_den = _nonzero(1.0 - ab * q ** (2 * n), "1 - a*b*q^(2n)") * _nonzero(
         1.0 - ab * q ** (2 * n + 1), "1 - a*b*q^(2n+1)"

@@ -10,12 +10,20 @@ from defosc import (
     INCONCLUSIVE,
     INFINITE,
     ParameterDomainError,
+    ZeroCoefficientError,
     classify,
     custom_sequence,
     difference_table,
+    family_names,
     fit_beta,
     make_sequence,
 )
+
+_PARAMS = {
+    "laguerre": {"alpha": 0.5},
+    "little-q-jacobi": {"a": 0.5, "b": 0.5, "q": 0.5},
+    "ismail-theta": {"theta": 0.7},
+}
 
 
 def _quadratic_seq(beta0, beta2):
@@ -117,6 +125,50 @@ def test_verdicts_stable_across_n_max():
     for n_max in (8, 16, 32, 64):
         assert classify(lag, n_max=n_max).verdict == FINITE
         assert classify(gold, n_max=n_max).verdict == INFINITE
+
+
+@pytest.mark.parametrize("family", family_names())
+def test_verdicts_do_not_depend_on_the_scale_of_b(family):
+    # the factored form is unchanged by b_n^2 -> c b_n^2, so every verdict is;
+    # with max(1, .) as the scale, 2^-50 b_n made every family Finite
+    seq = make_sequence(family, _PARAMS.get(family))
+    base = classify(seq)
+    for m in (-200, -50, 50, 200):
+        res = classify(custom_sequence(lambda n: 2**m * seq.b(n)))
+        assert res.verdict == base.verdict, m
+        assert res.witness_j == base.witness_j, m
+        assert res.fit_residual == base.fit_residual, m
+        assert res.row_spreads == base.row_spreads, m
+        if base.verdict == FINITE:
+            assert (res.beta0, res.beta2) == (4.0**m * base.beta0, 4.0**m * base.beta2), m
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("ismail-theta", {"theta": 5.0}),
+        ("ismail-theta", {"theta": 20.0}),
+        ("little-q-jacobi", {"a": 1e-5, "b": 1.0, "q": 1e-5}),
+    ],
+)
+def test_small_b_is_not_called_finite(family, params):
+    # b_n^2 < 1 made both tolerances absolute: Finite, Finite and Inconclusive
+    res = classify(make_sequence(family, params))
+    assert res.verdict == INFINITE
+    assert res.witness_j == 1
+
+
+def test_all_zero_b_has_no_verdict():
+    # every b_n^2 underflows at theta = 300; it was Finite with beta = 0
+    with pytest.raises(ZeroCoefficientError, match="underflow"):
+        classify(make_sequence("ismail-theta", {"theta": 300.0}))
+    zero = custom_sequence(lambda n: 0.0)
+    with pytest.raises(ZeroCoefficientError, match=r"every b_n\^2 with n <= 64 is 0"):
+        classify(zero)
+    table = difference_table(zero, 8, 2)
+    assert table.row(1) == (0.0,) * 8
+    with pytest.raises(ZeroCoefficientError):
+        table.spread(1)
 
 
 # -- difference table --

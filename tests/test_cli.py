@@ -189,6 +189,26 @@ def test_classify_csv_is_difference_table(capsys):
     assert len(lines) == 1 + 11 + 10 + 9
 
 
+def test_classify_underflowed_b_exits_2(capsys):
+    # every b_n^2 is 0.0 at theta = 300; it printed Finite with beta = 0
+    code, out, err = _run(capsys, ["classify", "--family", "ismail-theta", "--theta", "300"])
+    assert code == 2 and out == ""
+    assert "0 in double precision (a true zero or an underflow)" in err
+
+
+def test_little_q_legendre_is_accepted(capsys):
+    # C_0 was 0/0 at ab = 1: each exited 2 with "1 - a*b*q^(2n) vanishes"
+    for argv in (
+        ["--family", "little-q-jacobi", "--a", "1", "--b", "1", "--q", "0.5"],
+        ["--family", "ismail-theta", "--theta", "0.7", "--alpha", "1", "--q", "0.5"],
+    ):
+        assert _run_json(capsys, ["verify", *argv])["passed"] is True
+    # with the default q < 0 the measure at alpha = 1 is signed
+    code, out, err = _run(capsys, ["verify", "--family", "ismail-theta", "--theta", "0.7", "--alpha", "1"])
+    assert code == 2 and out == ""
+    assert "A_0*C_1 = " in err and "< 0" in err
+
+
 def test_classify_keyword_parameters(capsys):
     payload = _run_json(
         capsys,
@@ -503,6 +523,7 @@ def _command(argv: str, loaded: set):
         _command("fib ismail --theta 0.7 --n 20", set()),
         _command("fib filbert --n 8", set()),
         _command("fib berg --nmax 6", set()),
+        _command("classify --family fibonacci-golden --nmax 64", set()),
         _command("verify --family harmonic --dim 8", {"numpy"}),
     ],
 )

@@ -256,9 +256,20 @@ def test_golden_number_float_near_the_bottom_of_the_double_range():
                 assert got == 0.0, k
             else:
                 assert abs(got - float(want)) <= math.ulp(float(want)), k
-    for k in range(1477, 1481):  # phi^1477 is about 4.7e308
+    for k in range(1475, 1481):  # phi^1475 is about 1.8e308; 1475 and 1476 gave inf
         with pytest.raises(OverflowError):
             float(PHI**k)
+
+
+def test_golden_number_float_rounds_once():
+    # r + s sqrt5 rounded r, s, sqrt5, the product and the sum apart: 43 of
+    # these powers lay more than 1 ulp off, the worst 1.94 ulp at k = -206
+    with mpmath.workdps(60):
+        phi = (1 + mpmath.sqrt(5)) / 2
+        for k in range(-400, 400):
+            want = phi**k
+            error = abs(mpmath.mpf(float(PHI**k)) - want) / math.ulp(float(want))
+            assert error <= 0.5 + 1e-9, k
 
 
 def test_golden_number_hash_and_float_coercion():

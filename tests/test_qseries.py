@@ -151,19 +151,20 @@ def test_q_jacobi_term_ratio_matches_product_form_in_golden_field():
 
 @pytest.mark.parametrize(
     "a,b,q",
-    [(0.5, 0.5, 0.5), (GOLDEN_Q, 1.0, GOLDEN_Q), (0.2, 0.8, -0.6)],
+    [(0.5, 0.5, 0.5), (GOLDEN_Q, 1.0, GOLDEN_Q), (0.2, 0.8, -0.6), (1.0, 1.0, 0.5)],
 )
 def test_q_jacobi_satisfies_monic_recurrence(a, b, q):
-    # -x p_n = A_n p_{n+1} - (A_n + C_n) p_n + C_n p_{n-1}
+    # -x p_n = A_n p_{n+1} - (A_n + C_n) p_n + C_n p_{n-1}, with p_{-1} = 0;
+    # a = b = 1 is little q-Legendre, whose C_0 was 0/0
     params = QParams(a, b, q)
     for x in np.linspace(-0.9, 0.9, 7):
         values = [little_q_jacobi(n, x, a, b, q) for n in range(11)]
-        for n in range(1, 10):
+        for n in range(10):
             a_n, c_n = little_q_jacobi_monic_coeffs(params, n)
             lhs = -x * values[n]
-            rhs = a_n * values[n + 1] - (a_n + c_n) * values[n] + c_n * values[n - 1]
+            rhs = a_n * values[n + 1] - (a_n + c_n) * values[n] + c_n * (values[n - 1] if n else 0.0)
             budget = max(
-                1.0, *(_largest_summand(k, x, a, b, q) for k in (n - 1, n, n + 1))
+                1.0, *(_largest_summand(max(k, 0), x, a, b, q) for k in (n - 1, n, n + 1))
             )
             assert abs(lhs - rhs) < 1e-13 * budget
 
@@ -243,8 +244,9 @@ def test_series_does_not_stop_on_a_growing_term():
 
 
 def test_series_exhaustion_detected():
-    spec = HyperSeriesSpec(numerator=(0.3,), denominator=(), q=0.5, z=0.99, max_terms=3)
-    with pytest.raises(DivergenceError):
+    # the terms decrease, but only like 0.9999^k: 10,000 of them never reach tol
+    spec = HyperSeriesSpec(numerator=(0.3,), denominator=(), q=0.5, z=0.9999)
+    with pytest.raises(DivergenceError, match="within 10000 terms"):
         basic_hypergeometric(spec)
 
 
@@ -266,8 +268,6 @@ def test_spec_validation():
     for tol in (math.nan, math.inf):
         with pytest.raises(ParameterDomainError, match="tol"):
             HyperSeriesSpec(numerator=(0.3,), denominator=(), q=0.5, z=0.6, tol=tol)
-    with pytest.raises(ParameterDomainError):
-        HyperSeriesSpec(numerator=(), denominator=(), q=0.5, z=0.5, max_terms=0)
 
 
 # -- closed-form factorials and normalization partial sums --

@@ -157,7 +157,9 @@ def test_monic_pair_frozen_golden_values():
 
 
 def test_monic_c0_vanishes():
-    for params in (QParams(0.5, 0.5, 0.5), QParams(GOLDEN_Q, 1.0, GOLDEN_Q)):
+    # C_0 multiplies p_{-1} = 0; at ab = 1 (little q-Legendre) its closed form
+    # is 0/0 and raised DegenerateParameterError
+    for params in (QParams(0.5, 0.5, 0.5), QParams(GOLDEN_Q, 1.0, GOLDEN_Q), QParams(1.0, 1.0, 0.5)):
         _, c0 = little_q_jacobi_monic_coeffs(params, 0)
         assert c0 == 0.0
 
