@@ -92,7 +92,7 @@ def difference_table(seq: CoefficientSequence, n_max: int, j_max: int) -> Differ
         raise ParameterDomainError(
             f"n_max must be >= j_max + 2, got n_max={n_max}, j_max={j_max}"
         )
-    b_sq = [seq.b_squared(n) for n in range(n_max + 1)]
+    b_sq = [b * b for b in seq.b_values(n_max + 1)]
     row = [b - prev for prev, b in zip([0.0, *b_sq], b_sq)]  # A^(0)_0 = b_0^2 via b_{-1} = 0
     rows = [tuple(row)]
     for _ in range(j_max):
@@ -159,7 +159,7 @@ def classify(
     if not 0.0 <= tol < math.inf:
         raise ParameterDomainError(f"tol must be finite and >= 0, got {tol}")
     beta0, beta2 = fit_beta(seq)
-    b_sq = [seq.b_squared(n) for n in range(n_max + 1)]
+    b_sq = [b * b for b in seq.b_values(n_max + 1)]
     if math.isnan(sum(b_sq)):  # a NaN b_n^2 fits no form and decides nothing
         return ClassificationResult(INCONCLUSIVE, n_max, tol, math.nan)
     residual = max(abs(b - (beta0 + beta2 * n) * (1.0 + n)) for n, b in enumerate(b_sq))

@@ -101,10 +101,11 @@ def make_state(
 
     Convergent means |z|^2 < seq.radius_sq, never for custom_sequence (NaN).
     There a tail_bound above tol raises TruncationError carrying a suggested
-    dimension, None if the edge bound gives no finite one (unless
-    strict=False, which returns the state flagged instead).  In the divergent
-    regime no truncation error is possible: every finite section is exact.
-    Reads b_0..b_{dim-2}, and b_{dim-1} only when convergent.
+    dimension, None if the edge bound gives no finite one (unless strict=False,
+    which returns the state flagged instead).  In the divergent regime no
+    truncation error is possible: every finite section is exact.  Reads
+    b_0..b_{dim-2} one at a time, stopping at the first zero b_k, and
+    b_{dim-1} only when convergent.
     """
     if dim < 2:
         raise DimensionError(f"dim must be >= 2, got {dim}")
@@ -180,8 +181,7 @@ def eigen_residual(state: CoherentState, seq: CoefficientSequence) -> float:
     The last coordinate is excluded: the truncation cannot know c_dim.
     """
     v = state.coeffs
-    n = np.arange(state.dim - 1)
-    b_vals = np.array([seq.b(k) for k in n])
+    b_vals = np.array(seq.b_values(state.dim - 1))
     resid = _SQRT2 * b_vals * v[1:] - state.z * v[:-1]
     return float(np.linalg.norm(resid))
 

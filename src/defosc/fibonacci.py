@@ -401,8 +401,9 @@ def nu_moments(
 
     # working precision sized so rounding stays below the geometric tail
     dps = max(50, int(math.ceil(K * (alpha + n) * -math.log10(abs(q_known)))) + 30)
-    alpha_i = int(alpha) if alpha == int(alpha) else alpha
     with mpmath.workdps(dps):
+        # exact alpha + n: in doubles its last bit decides within_bound at q > 0
+        alpha_i = int(alpha) if alpha == int(alpha) else mpmath.mpf(alpha)
         tv = mpmath.mpf(theta)
         qv = -mpmath.exp(-2 * tv) if q is None else mpmath.mpf(q)
         e_nt = mpmath.exp(-n * tv)
@@ -536,7 +537,7 @@ def berg_moment_classical(n: int) -> Fraction:
 
 
 class MomentFunctional:
-    """Linear functional L(x^k) = mu_k with bilinear (Hankel) application.
+    """Linear functional L(x^k) = mu_k, stored as its moments mu_0, mu_1, ...
 
     The carrier is whatever numeric type the moments are supplied in:
     Fraction for exact work, float, or an mpmath float for extended
@@ -559,19 +560,6 @@ class MomentFunctional:
                 f"moment {k} requested but only {len(self._moments)} stored"
             )
         return self._moments[k]
-
-    def apply(self, p1: Sequence, p2: Sequence):
-        """L(p1 * p2) for coefficient lists in ascending powers of x."""
-        need = (len(p1) - 1) + (len(p2) - 1)
-        if need >= len(self._moments):
-            raise InsufficientMomentsError(
-                f"degree {need} product needs {need + 1} moments, have {len(self._moments)}"
-            )
-        total = 0
-        for i, c1 in enumerate(p1):
-            for j, c2 in enumerate(p2):
-                total = total + c1 * c2 * self._moments[i + j]
-        return total
 
     def affine(self, alpha, beta) -> "MomentFunctional":
         """Functional of x -> alpha x + beta: mu'_m = L((alpha x + beta)^m)."""

@@ -219,8 +219,8 @@ def build_operators(seq: CoefficientSequence, dim: int) -> Operators:
     """Assemble X, P, a+-, N, B(N) and H for `seq` truncated at `dim`."""
     if dim < 3:
         raise DimensionError(f"dim must be >= 3, got {dim}")
-    b_vals = np.array([seq.b(n) for n in range(dim - 1)])
-    a_vals = np.array([seq.a(n) for n in range(dim)])
+    b_vals = np.array(seq.b_values(dim - 1))
+    a_vals = np.array(seq.a_values(dim))
     # B's eigenvalues are assembled from the same sqrt(2) b_n products that
     # fill the ladder operators, so 2B(N) - a+ a- cancels exactly in floating
     # point instead of leaving eps * b_n^2 noise that commutators amplify.
@@ -316,8 +316,8 @@ def verify_algebra(seq: CoefficientSequence, dim: int, tol: float = 1e-10) -> Al
     # The target diagonals reuse the same sqrt(2) b_n floats that fill the
     # ladder bands; otherwise the residuals carry eps * b_n^2 rounding noise,
     # which the casimir commutator inflates by another factor b_n.
-    s_last = np.sqrt(2.0) * seq.b(dim - 1)
-    s_sq = np.concatenate((ops.a_plus.band(-1) ** 2, [s_last * s_last]))
+    s_vals = np.sqrt(2.0) * np.array(seq.b_values(dim))
+    s_sq = s_vals * s_vals
     # B(N + I) has eigenvalue b_n^2 on psi_n
     b_next = BandMatrix(dim, {0: 0.5 * s_sq}, "B+")
     lam_op = BandMatrix(dim, {0: np.concatenate(([0.0], s_sq[:-1])) + s_sq}, "lambda")

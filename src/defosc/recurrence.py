@@ -89,8 +89,9 @@ def little_q_jacobi_monic_coeffs(p: QParams, n: int) -> tuple[float, float]:
 
 
 class CoefficientSequence:
-    """Memoized recurrence coefficients a_n, b_n of one family instance.
+    """Recurrence coefficients a_n, b_n of one family instance.
 
+    Each is kept in a list filled in index order, one evaluation per index.
     radius_sq is R^2 = lim 2 b_n^2, the radius of convergence in |z|^2 of the
     coherent-state norm series sum_n |z|^{2n} / prod_{k<n} 2 b_k^2; NaN when
     the family does not state it.
@@ -109,24 +110,34 @@ class CoefficientSequence:
         self.radius_sq = radius_sq
         self._a_fn = a_fn
         self._b_fn = b_fn
-        self._a_cache: dict[int, float] = {}
-        self._b_cache: dict[int, float] = {}
+        self._a_vals: list[float] = []
+        self._b_vals: list[float] = []
 
     def a(self, n: int) -> float:
         if n < 0:
             raise ParameterDomainError(f"a(n) requires n >= 0, got {n}")
-        if n not in self._a_cache:
-            self._a_cache[n] = float(self._a_fn(n))
-        return self._a_cache[n]
+        while len(self._a_vals) <= n:
+            self._a_vals.append(float(self._a_fn(len(self._a_vals))))
+        return self._a_vals[n]
 
     def b(self, n: int) -> float:
         if n == -1:
             return 0.0
         if n < -1:
             raise ParameterDomainError(f"b(n) requires n >= -1, got {n}")
-        if n not in self._b_cache:
-            self._b_cache[n] = float(self._b_fn(n))
-        return self._b_cache[n]
+        while len(self._b_vals) <= n:
+            self._b_vals.append(float(self._b_fn(len(self._b_vals))))
+        return self._b_vals[n]
+
+    def a_values(self, count: int) -> list[float]:
+        """[a_0, ..., a_{count-1}], evaluated through a(count - 1)."""
+        self.a(count - 1)
+        return self._a_vals[:count]
+
+    def b_values(self, count: int) -> list[float]:
+        """[b_0, ..., b_{count-1}], evaluated through b(count - 1)."""
+        self.b(count - 1)
+        return self._b_vals[:count]
 
     def b_squared(self, n: int) -> float:
         bn = self.b(n)
@@ -250,15 +261,19 @@ def _laguerre(alpha: float = 0.0) -> CoefficientSequence:
 def _little_q_jacobi_seq(
     p: QParams, family_id: str, params: dict, scale: float = 1.0
 ) -> CoefficientSequence:
+    monic: list[tuple[float, float]] = []  # (A_n, C_n), each index evaluated once
+
+    def coeffs(n: int) -> tuple[float, float]:
+        while len(monic) <= n:
+            monic.append(little_q_jacobi_monic_coeffs(p, len(monic)))
+        return monic[n]
+
     def a_fn(n: int) -> float:
-        A_n, C_n = little_q_jacobi_monic_coeffs(p, n)
+        A_n, C_n = coeffs(n)
         return scale * (A_n + C_n)
 
     def b_fn(n: int) -> float:
-        b_sq = (
-            little_q_jacobi_monic_coeffs(p, n)[0]
-            * little_q_jacobi_monic_coeffs(p, n + 1)[1]
-        )
+        b_sq = coeffs(n)[0] * coeffs(n + 1)[1]
         if b_sq < 0.0:
             raise NonPositiveDefiniteError(
                 f"A_{n}*C_{n + 1} = {b_sq} < 0: parameters do not define a real oscillator"

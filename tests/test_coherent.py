@@ -296,6 +296,21 @@ def test_custom_sequence_is_divergent_and_read_only_to_the_last_kept_level():
     assert sorted(calls) == list(range(7))  # b_0 .. b_{dim-2}
 
 
+def test_underflowing_q_family_is_read_only_to_its_first_zero_coefficient(monkeypatch):
+    seq = make_sequence("fibonacci-golden")
+    calls = []
+    b_fn = seq._b_fn
+
+    def counted(n):
+        calls.append(n)
+        return b_fn(n)
+
+    monkeypatch.setattr(seq, "_b_fn", counted)
+    with pytest.raises(ZeroCoefficientError, match="b_387 = 0"):
+        make_state(seq, 0.5, 16384)
+    assert calls == list(range(388))  # b_0 .. b_387, not the 16383 of the section
+
+
 # -- observables --
 
 def test_vacuum_saturates_uncertainty_bound():

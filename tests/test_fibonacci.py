@@ -436,14 +436,6 @@ def test_functional_moment_access():
         MomentFunctional([])
 
 
-def test_functional_apply_is_hankel_bilinear():
-    func = MomentFunctional([1, 2, 5, 14, 42])
-    # L((1 + x)(3 + x^2)) = 3 mu0 + 3 mu1 + mu2 + mu3
-    assert func.apply([1, 1], [3, 0, 1]) == 3 * 1 + 3 * 2 + 5 + 14
-    with pytest.raises(InsufficientMomentsError):
-        func.apply([0, 0, 1], [0, 0, 0, 1])
-
-
 def test_functional_affine_change_of_variable():
     func = MomentFunctional([Fraction(1), Fraction(1, 2), Fraction(1, 3)])
     mapped = func.affine(2, 1)
@@ -645,6 +637,15 @@ def test_nu_doubling_sum_equals_plain_loop(q):
                 want = _nu_plain_loop(n, alpha, 0.7, q, K, res.dps)
                 got = (res.truncated, res.closed_form, res.tail_bound, res.within_bound)
                 assert got == want, (K, alpha, n)
+
+
+def test_nu_within_bound_for_non_integer_alpha():
+    # q > 0 attains the tail bound, so one ulp of error in alpha + n decides the verdict
+    for alpha in (0.3, 0.7, 1.1, 1.5, 2.5, 3.3):
+        for n in range(4):
+            for q in (0.2, 0.5, 0.9):
+                for K in (7, 100, 300, 1000):
+                    assert nu_moments(n, alpha, 0.1, q=q, K=K).within_bound, (alpha, n, q, K)
 
 
 def test_nu_working_precision_is_kept():

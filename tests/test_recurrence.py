@@ -22,6 +22,7 @@ from defosc import (
     little_q_jacobi_monic_coeffs,
     make_sequence,
 )
+from defosc import recurrence
 from defosc.qseries import q_pochhammer
 
 
@@ -263,6 +264,75 @@ def test_sequences_are_deterministic():
     for n in range(32):
         assert first.b(n) == second.b(n)
         assert first.a(n) == second.a(n)
+
+
+_INSTANCES = (
+    ("harmonic", {}),
+    ("chebyshev-t", {}),
+    ("chebyshev-u", {}),
+    ("laguerre", {"alpha": 0.5}),
+    ("little-q-jacobi", {"a": 0.5, "b": 0.5, "q": 0.5}),
+    ("fibonacci-golden", {}),
+    ("ismail-theta", {"theta": 0.7}),
+)
+
+
+@pytest.mark.parametrize("count", [1, 64, 4096])
+@pytest.mark.parametrize("name,params", _INSTANCES)
+def test_vectors_equal_scalar_reads(name, params, count):
+    vec = make_sequence(name, params)
+    one = make_sequence(name, params)
+    # scalar reads from the top down, so each high read fills the lower indices
+    want_b = [one.b(n) for n in reversed(range(count))][::-1]
+    want_a = [one.a(n) for n in reversed(range(count))][::-1]
+    assert vec.b_values(count) == want_b
+    assert vec.a_values(count) == want_a
+    assert vec.b_values(0) == []
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("little-q-jacobi", {"a": 0.5, "b": 0.5, "q": 0.5}),
+        ("fibonacci-golden", {}),
+        ("ismail-theta", {"theta": 0.7}),
+    ],
+)
+def test_q_family_evaluates_each_monic_pair_once(monkeypatch, name, params):
+    from defosc.classifier import classify
+    from defosc.coherent import make_state
+    from defosc.oscillator import verify_algebra
+
+    indices = []
+    monic = recurrence.little_q_jacobi_monic_coeffs
+
+    def counted(p, n):
+        indices.append(n)
+        return monic(p, n)
+
+    monkeypatch.setattr(recurrence, "little_q_jacobi_monic_coeffs", counted)
+    # a_0..a_63 and b_0..b_63 need (A_n, C_n) for n <= 64; b_0..b_64 for n <= 65;
+    # the divergent state b_0..b_62 for n <= 63
+    for run, pairs in (
+        (lambda seq: verify_algebra(seq, 64), 65),
+        (lambda seq: classify(seq, 64), 66),
+        (lambda seq: make_state(seq, 0.5, 64), 64),
+    ):
+        indices.clear()
+        seq = make_sequence(name, params)
+        run(seq)
+        run(seq)  # a second pass evaluates nothing
+        assert indices == list(range(pairs))
+
+
+def test_read_surfaces_the_lowest_failing_index():
+    # alpha = 1 with the default q < 0: A_0 C_1 < 0 already
+    seq = make_sequence("ismail-theta", {"theta": 0.7, "alpha": 1.0})
+    for _ in range(2):
+        with pytest.raises(NonPositiveDefiniteError, match=r"A_0\*C_1 "):
+            seq.b(5)
+    with pytest.raises(NonPositiveDefiniteError, match=r"A_0\*C_1 "):
+        seq.b_values(6)
 
 
 # -- polynomial evaluation --
