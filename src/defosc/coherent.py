@@ -20,11 +20,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from . import oscillator, qseries
 from .errors import (
+    DefoscError,
     DimensionError,
     ParameterDomainError,
     TruncationError,
@@ -104,8 +106,9 @@ def make_state(
     dimension, None if the edge bound gives no finite one (unless strict=False,
     which returns the state flagged instead).  In the divergent regime no
     truncation error is possible: every finite section is exact.  Reads
-    b_0..b_{dim-2} one at a time, stopping at the first zero b_k, and
-    b_{dim-1} only when convergent.
+    b_0..b_{dim-2} in doubling windows, stopping at the first window that
+    holds a zero b_k, and b_{dim-1} only when convergent.  The first zero b_k
+    raises ZeroCoefficientError even where a higher index in its window fails.
     """
     if dim < 2:
         raise DimensionError(f"dim must be >= 2, got {dim}")
@@ -124,20 +127,31 @@ def make_state(
         coeffs[0] = 1.0
         return CoherentState(z, dim, coeffs, 1.0, 0.0, 0.0, True)
 
+    # a q-family b_k can underflow to 0 a few hundred levels in; windows keep
+    # the levels evaluated past it to about as many again
+    count = 0
+    while count < dim - 1:
+        start, count = count, min(dim - 1, 2 * count + 64)
+        try:
+            b_vals = seq.b_values(count)
+        except DefoscError:
+            # a zero below the window's failing index ends the state first; the
+            # values below it are held, and reading the failing index raises again
+            k = next(k for k in range(start, count) if seq.b(k) == 0.0)
+            b_vals = seq.b_values(k + 1)
+        if 0.0 in b_vals:
+            k = b_vals.index(0.0)
+            raise ZeroCoefficientError(
+                f"b_{k} = 0 in double precision (a true zero or an underflow): "
+                f"levels above {k} are unreachable"
+            )
+
     # log |t_n| for unnormalized amplitudes t_n = |z|^n / prod_{k<n} sqrt2 b_k
     logs = np.empty(dim)
     logs[0] = 0.0
     log_r = math.log(abs(z))
-    acc = 0.0
-    for n in range(1, dim):
-        step = _SQRT2 * seq.b(n - 1)
-        if step == 0.0:
-            raise ZeroCoefficientError(
-                f"b_{n - 1} = 0 in double precision (a true zero or an underflow): "
-                f"levels above {n - 1} are unreachable"
-            )
-        acc += math.log(step)
-        logs[n] = n * log_r - acc
+    acc = np.fromiter(accumulate(map(math.log, [_SQRT2 * b for b in b_vals])), float, dim - 1)
+    logs[1:] = np.arange(1, dim) * log_r - acc
 
     shift = float(logs.max())
     scaled = np.exp(logs - shift)  # amplitude scale, max entry 1

@@ -63,35 +63,66 @@ class QParams:
                 raise ParameterDomainError(f"{name} must be finite, got {v}")
 
 
-def _nonzero(value: float, what: str) -> float:
-    if value == 0.0:
-        raise DegenerateParameterError(f"degenerate parameters: {what} vanishes")
-    return value
+def _monic_block(p: QParams, ns: range) -> tuple[list[float], list[float]]:
+    """(A_n, C_n) for a nonempty prefix of the index range ns.
+
+    The prefix stops before the first index whose pair cannot be formed, and
+    a range that starts at such an index raises that index's error.  Powers
+    come from Python's ** once per exponent: q^n for n in ns and one past it,
+    q^k for 2n <= k <= 2n + 2.
+    """
+    a, b, q = p.a, p.b, p.q
+    ab = a * b
+    lo, hi = ns.start, ns.stop
+    q_pow = [q**k for k in range(lo, hi + 1)]
+    one_minus = [1.0 - ab * q**k for k in range(2 * lo, 2 * hi + 1)]  # 1 - ab q^k
+    A: list[float] = []
+    C: list[float] = []
+    for i, n in enumerate(ns):
+        q_n, q_n1 = q_pow[i], q_pow[i + 1]
+        d0, d1, d2 = one_minus[2 * i], one_minus[2 * i + 1], one_minus[2 * i + 2]
+        if d1 == 0.0 or d2 == 0.0 or (n and d0 == 0.0):
+            factor = "2n+1" if d1 == 0.0 else "2n+2" if d2 == 0.0 else "2n"
+            error: Exception = DegenerateParameterError(
+                f"degenerate parameters: 1 - a*b*q^({factor}) vanishes at n={n}"
+            )
+        else:
+            A_n = q_n * (1.0 - a * q_n1) * (1.0 - ab * q_n1) / (d1 * d2)
+            # C_0 multiplies p_{-1} = 0; its closed form is 0/0 at ab = 1 (q-Legendre)
+            C_n = a * q_n * (1.0 - q_n) * (1.0 - b * q_n) / (d0 * d1) if n else 0.0
+            if math.isfinite(A_n) and math.isfinite(C_n):
+                A.append(A_n)
+                C.append(C_n)
+                continue
+            error = ParameterDomainError(
+                f"little q-Jacobi A_{n}, C_{n} overflow a float at a={a}, b={b}, q={q}"
+            )
+        if A:
+            break
+        raise error
+    return A, C
 
 
 def little_q_jacobi_monic_coeffs(p: QParams, n: int) -> tuple[float, float]:
-    """Return (A_n, C_n) of the monic-form little q-Jacobi recurrence."""
+    """Return (A_n, C_n) of the monic-form little q-Jacobi recurrence.
+
+    The one-index case of the block evaluation the q-families fill from.
+    """
     if n < 0:
         raise ParameterDomainError(f"n must be >= 0, got {n}")
-    a, b, q = p.a, p.b, p.q
-    ab = a * b
-    a_num = q**n * (1.0 - a * q ** (n + 1)) * (1.0 - ab * q ** (n + 1))
-    a_den = _nonzero(1.0 - ab * q ** (2 * n + 1), "1 - a*b*q^(2n+1)") * _nonzero(
-        1.0 - ab * q ** (2 * n + 2), "1 - a*b*q^(2n+2)"
-    )
-    if n == 0:  # C_0 multiplies p_{-1} = 0; its closed form is 0/0 at ab = 1 (q-Legendre)
-        return a_num / a_den, 0.0
-    c_num = a * q**n * (1.0 - q**n) * (1.0 - b * q**n)
-    c_den = _nonzero(1.0 - ab * q ** (2 * n), "1 - a*b*q^(2n)") * _nonzero(
-        1.0 - ab * q ** (2 * n + 1), "1 - a*b*q^(2n+1)"
-    )
-    return a_num / a_den, c_num / c_den
+    (A_n,), (C_n,) = _monic_block(p, range(n, n + 1))
+    return A_n, C_n
 
 
 class CoefficientSequence:
     """Recurrence coefficients a_n, b_n of one family instance.
 
-    Each is kept in a list filled in index order, one evaluation per index.
+    a_fn and b_fn evaluate a block: given a range of indices, they return the
+    values of a nonempty prefix of it, stopping before the first index whose
+    value cannot be formed, and raise that index's error when the range starts
+    there.  Each coefficient is kept in a list extended one block at a time in
+    index order, so every index is evaluated once, reads below a failing index
+    succeed and reads at or above it raise the lowest failing index's error.
     radius_sq is R^2 = lim 2 b_n^2, the radius of convergence in |z|^2 of the
     coherent-state norm series sum_n |z|^{2n} / prod_{k<n} 2 b_k^2; NaN when
     the family does not state it.
@@ -101,8 +132,8 @@ class CoefficientSequence:
         self,
         family_id: str,
         params: dict,
-        a_fn: Callable[[int], float],
-        b_fn: Callable[[int], float],
+        a_fn: Callable[[range], list[float]],
+        b_fn: Callable[[range], list[float]],
         radius_sq: float = math.nan,
     ):
         self.family_id = family_id
@@ -116,18 +147,20 @@ class CoefficientSequence:
     def a(self, n: int) -> float:
         if n < 0:
             raise ParameterDomainError(f"a(n) requires n >= 0, got {n}")
-        while len(self._a_vals) <= n:
-            self._a_vals.append(float(self._a_fn(len(self._a_vals))))
-        return self._a_vals[n]
+        vals = self._a_vals
+        while len(vals) <= n:
+            vals.extend(self._a_fn(range(len(vals), n + 1)))
+        return vals[n]
 
     def b(self, n: int) -> float:
         if n == -1:
             return 0.0
         if n < -1:
             raise ParameterDomainError(f"b(n) requires n >= -1, got {n}")
-        while len(self._b_vals) <= n:
-            self._b_vals.append(float(self._b_fn(len(self._b_vals))))
-        return self._b_vals[n]
+        vals = self._b_vals
+        while len(vals) <= n:
+            vals.extend(self._b_fn(range(len(vals), n + 1)))
+        return vals[n]
 
     def a_values(self, count: int) -> list[float]:
         """[a_0, ..., a_{count-1}], evaluated through a(count - 1)."""
@@ -168,14 +201,21 @@ def custom_sequence(
     family_id: str = "custom",
     params: dict | None = None,
 ) -> CoefficientSequence:
-    """Wrap raw callables as a sequence (no positivity check, for tests and fits).
+    """Wrap raw callables n -> value as a sequence (no positivity check, for tests and fits).
 
-    Its radius of convergence R^2 is unknown (NaN), so make_state treats its
+    Each callable is asked for one index per call, in index order, so an error
+    it raises at some n surfaces on the read of n and never earlier.  Its
+    radius of convergence R^2 is unknown (NaN), so make_state treats its
     coherent states as divergent: the exact normalized finite section.
     """
     if a_fn is None:
         a_fn = lambda n: 0.0
-    return CoefficientSequence(family_id, params or {}, a_fn, b_fn)
+    return CoefficientSequence(
+        family_id,
+        params or {},
+        lambda ns: [float(a_fn(ns.start))],
+        lambda ns: [float(b_fn(ns.start))],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +254,17 @@ class FamilySpec:
 # 1/2 where b_n -> 1/2, and 0 for the q-families, whose b_n decay like |q|^n.
 
 
+def _zeros(ns: range) -> list[float]:
+    return [0.0] * len(ns)
+
+
 def _harmonic() -> CoefficientSequence:
     return CoefficientSequence(
-        "harmonic", {}, lambda n: 0.0, lambda n: math.sqrt((n + 1) / 2.0), radius_sq=math.inf
+        "harmonic",
+        {},
+        _zeros,
+        lambda ns: [math.sqrt((n + 1) / 2.0) for n in ns],
+        radius_sq=math.inf,
     )
 
 
@@ -224,14 +272,16 @@ def _chebyshev_t() -> CoefficientSequence:
     return CoefficientSequence(
         "chebyshev-t",
         {},
-        lambda n: 0.0,
-        lambda n: 1.0 / math.sqrt(2.0) if n == 0 else 0.5,
+        _zeros,
+        lambda ns: [1.0 / math.sqrt(2.0) if n == 0 else 0.5 for n in ns],
         radius_sq=0.5,
     )
 
 
 def _chebyshev_u() -> CoefficientSequence:
-    return CoefficientSequence("chebyshev-u", {}, lambda n: 0.0, lambda n: 0.5, radius_sq=0.5)
+    return CoefficientSequence(
+        "chebyshev-u", {}, _zeros, lambda ns: [0.5] * len(ns), radius_sq=0.5
+    )
 
 
 def _laguerre(alpha: float = 0.0) -> CoefficientSequence:
@@ -239,21 +289,31 @@ def _laguerre(alpha: float = 0.0) -> CoefficientSequence:
         raise ParameterDomainError(f"laguerre requires alpha > -1, got {alpha}")
 
     # X^2 and the other operator products square a_n, so a_n^2 must be finite too
-    def a_fn(n: int) -> float:
-        a_n = 2.0 * n + alpha + 1.0
-        if not math.isfinite(a_n * a_n):
-            raise ParameterDomainError(
-                f"laguerre a_{n}^2 = (2n+alpha+1)^2 overflows a float at alpha={alpha}, n={n}"
-            )
-        return a_n
+    def a_fn(ns: range) -> list[float]:
+        out = []
+        for n in ns:
+            a_n = 2.0 * n + alpha + 1.0
+            if not math.isfinite(a_n * a_n):
+                if out:
+                    break
+                raise ParameterDomainError(
+                    f"laguerre a_{n}^2 = (2n+alpha+1)^2 overflows a float at alpha={alpha}, n={n}"
+                )
+            out.append(a_n)
+        return out
 
-    def b_fn(n: int) -> float:
-        b_sq = (n + 1.0) * (n + alpha + 1.0)
-        if not math.isfinite(b_sq):
-            raise ParameterDomainError(
-                f"laguerre b_{n}^2 = (n+1)(n+alpha+1) overflows a float at alpha={alpha}, n={n}"
-            )
-        return math.sqrt(b_sq)
+    def b_fn(ns: range) -> list[float]:
+        out = []
+        for n in ns:
+            b_sq = (n + 1.0) * (n + alpha + 1.0)
+            if not math.isfinite(b_sq):
+                if out:
+                    break
+                raise ParameterDomainError(
+                    f"laguerre b_{n}^2 = (n+1)(n+alpha+1) overflows a float at alpha={alpha}, n={n}"
+                )
+            out.append(math.sqrt(b_sq))
+        return out
 
     return CoefficientSequence("laguerre", {"alpha": alpha}, a_fn, b_fn, radius_sq=math.inf)
 
@@ -261,24 +321,47 @@ def _laguerre(alpha: float = 0.0) -> CoefficientSequence:
 def _little_q_jacobi_seq(
     p: QParams, family_id: str, params: dict, scale: float = 1.0
 ) -> CoefficientSequence:
-    monic: list[tuple[float, float]] = []  # (A_n, C_n), each index evaluated once
+    A: list[float] = []  # monic-form (A_n, C_n), each index evaluated once, in order
+    C: list[float] = []
 
-    def coeffs(n: int) -> tuple[float, float]:
-        while len(monic) <= n:
-            monic.append(little_q_jacobi_monic_coeffs(p, len(monic)))
-        return monic[n]
+    def pairs(need: int, stop: int) -> int:
+        # hold the pairs n < need, raising the first failing index's error, and
+        # evaluate towards stop; return how many of the pairs n < stop are held
+        while len(A) < need:
+            A_block, C_block = _monic_block(p, range(len(A), stop))
+            A.extend(A_block)
+            C.extend(C_block)
+        return min(len(A), stop)
 
-    def a_fn(n: int) -> float:
-        A_n, C_n = coeffs(n)
-        return scale * (A_n + C_n)
+    def a_fn(ns: range) -> list[float]:
+        out = []
+        for n in range(ns.start, pairs(ns.start + 1, ns.stop)):
+            a_n = scale * (A[n] + C[n])
+            if not math.isfinite(a_n * a_n):
+                if out:
+                    break
+                raise ParameterDomainError(
+                    f"{family_id} a_{n}^2 overflows a float at a={p.a}, b={p.b}, q={p.q}"
+                )
+            out.append(a_n)
+        return out
 
-    def b_fn(n: int) -> float:
-        b_sq = coeffs(n)[0] * coeffs(n + 1)[1]
-        if b_sq < 0.0:
-            raise NonPositiveDefiniteError(
-                f"A_{n}*C_{n + 1} = {b_sq} < 0: parameters do not define a real oscillator"
-            )
-        return scale * math.sqrt(b_sq)
+    def b_fn(ns: range) -> list[float]:
+        out = []
+        for n in range(ns.start, pairs(ns.start + 2, ns.stop + 1) - 1):
+            b_sq = A[n] * C[n + 1]
+            if not 0.0 <= b_sq < math.inf:
+                if out:
+                    break
+                if b_sq < 0.0:
+                    raise NonPositiveDefiniteError(
+                        f"A_{n}*C_{n + 1} = {b_sq} < 0: parameters do not define a real oscillator"
+                    )
+                raise ParameterDomainError(
+                    f"{family_id} b_{n}^2 overflows a float at a={p.a}, b={p.b}, q={p.q}"
+                )
+            out.append(scale * math.sqrt(b_sq))
+        return out
 
     return CoefficientSequence(family_id, params, a_fn, b_fn, radius_sq=0.0)
 

@@ -179,6 +179,24 @@ def test_laguerre_overflowing_a_exits_2(capsys):
         assert _run(capsys, [*argv, "1e150"])[0] == 0
 
 
+def test_q_family_overflowing_parameters_exit_2(capsys):
+    # (1 - a*q)(1 - a*b*q) overflows and A_0 was inf/inf: coherent exited 0
+    # with NaN fields, verify 3 with null residuals, classify 0 Inconclusive
+    for a, b in (("1e160", "1"), ("1e300", "1e10")):
+        family = ["--family", "little-q-jacobi", "--a", a, "--b", b, "--q", "0.5"]
+        for command in (["verify"], ["classify"], ["coherent", "--z", "0.5", "--dim", "8"]):
+            code, out, err = _run(capsys, [*command, *family])
+            assert code == 2 and out == ""
+            assert f"A_0, C_0 overflow a float at a={float(a)}, b={float(b)}, q=0.5" in err
+
+
+def test_degenerate_parameters_name_the_index(capsys):
+    argv = ["verify", "--family", "little-q-jacobi", "--a", "64", "--b", "1", "--q", "0.5"]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "1 - a*b*q^(2n+2) vanishes at n=2" in err
+
+
 def test_classify_csv_is_difference_table(capsys):
     code, out, _ = _run(
         capsys, ["classify", "--family", "harmonic", "--nmax", "10", "--format", "csv"]
@@ -524,6 +542,7 @@ def _command(argv: str, loaded: set):
         _command("fib filbert --n 8", set()),
         _command("fib berg --nmax 6", set()),
         _command("classify --family fibonacci-golden --nmax 64", set()),
+        _command("classify --family little-q-jacobi --a 0.5 --b 0.5 --q 0.5 --nmax 4096", set()),
         _command("verify --family harmonic --dim 8", {"numpy"}),
     ],
 )

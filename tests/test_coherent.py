@@ -8,6 +8,7 @@ import pytest
 from defosc import (
     DimensionError,
     DivergenceError,
+    NonPositiveDefiniteError,
     ParameterDomainError,
     TruncationError,
     ZeroCoefficientError,
@@ -298,17 +299,30 @@ def test_custom_sequence_is_divergent_and_read_only_to_the_last_kept_level():
 
 def test_underflowing_q_family_is_read_only_to_its_first_zero_coefficient(monkeypatch):
     seq = make_sequence("fibonacci-golden")
-    calls = []
+    evaluated = []
     b_fn = seq._b_fn
 
-    def counted(n):
-        calls.append(n)
-        return b_fn(n)
+    def counted(ns):
+        values = b_fn(ns)
+        evaluated.extend(ns[: len(values)])
+        return values
 
     monkeypatch.setattr(seq, "_b_fn", counted)
     with pytest.raises(ZeroCoefficientError, match="b_387 = 0"):
         make_state(seq, 0.5, 16384)
-    assert calls == list(range(388))  # b_0 .. b_387, not the 16383 of the section
+    # b_0 .. b_387 and at most one window past it, not the 16383 of the section
+    assert evaluated == list(range(len(evaluated)))
+    assert 388 <= len(evaluated) < 1024
+
+
+def test_true_zero_ends_the_state_before_a_later_failing_index():
+    # b = q^-6 makes C_6 = 0, so b_5 = 0 exactly, and A_6 C_7 < 0 above it:
+    # the window that reads both must still report the zero
+    seq = make_sequence("little-q-jacobi", {"a": -0.5, "b": 64.0, "q": 0.5})
+    with pytest.raises(ZeroCoefficientError, match="b_5 = 0"):
+        make_state(seq, 0.5, 64)
+    with pytest.raises(NonPositiveDefiniteError, match=r"A_6\*C_7"):
+        seq.b(6)
 
 
 # -- observables --

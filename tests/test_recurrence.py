@@ -280,14 +280,31 @@ _INSTANCES = (
 @pytest.mark.parametrize("count", [1, 64, 4096])
 @pytest.mark.parametrize("name,params", _INSTANCES)
 def test_vectors_equal_scalar_reads(name, params, count):
+    # the block boundaries never change a value: one block, one index per
+    # block, and ragged windows give the same floats bit for bit
     vec = make_sequence(name, params)
     one = make_sequence(name, params)
-    # scalar reads from the top down, so each high read fills the lower indices
-    want_b = [one.b(n) for n in reversed(range(count))][::-1]
-    want_a = [one.a(n) for n in reversed(range(count))][::-1]
-    assert vec.b_values(count) == want_b
-    assert vec.a_values(count) == want_a
+    ragged = make_sequence(name, params)
+    want_b = [one.b(n) for n in range(count)]
+    want_a = [one.a(n) for n in range(count)]
+    for window in (1, 7, 64, count):
+        ragged.b_values(min(window, count))
+        ragged.a_values(min(window, count))
+    assert vec.b_values(count) == want_b == ragged.b_values(count)
+    assert vec.a_values(count) == want_a == ragged.a_values(count)
     assert vec.b_values(0) == []
+
+
+def test_block_fill_keeps_the_values_below_a_failing_index():
+    # 1 - a*b*q^6 = 0: the pair (A_2, C_2) cannot be formed, so a_2 and b_1 fail
+    params = {"a": 64.0, "b": 1.0, "q": 0.5}
+    seq = make_sequence("little-q-jacobi", params)
+    with pytest.raises(DegenerateParameterError, match=r"q\^\(2n\+2\) vanishes at n=2"):
+        seq.a_values(100)
+    fresh = make_sequence("little-q-jacobi", params)
+    assert (seq.a(0), seq.a(1), seq.b(0)) == (fresh.a(0), fresh.a(1), fresh.b(0))
+    with pytest.raises(DegenerateParameterError, match="at n=2"):
+        seq.b(1)
 
 
 @pytest.mark.parametrize(
@@ -304,13 +321,14 @@ def test_q_family_evaluates_each_monic_pair_once(monkeypatch, name, params):
     from defosc.oscillator import verify_algebra
 
     indices = []
-    monic = recurrence.little_q_jacobi_monic_coeffs
+    block = recurrence._monic_block
 
-    def counted(p, n):
-        indices.append(n)
-        return monic(p, n)
+    def counted(p, ns):
+        A, C = block(p, ns)
+        indices.extend(ns[: len(A)])
+        return A, C
 
-    monkeypatch.setattr(recurrence, "little_q_jacobi_monic_coeffs", counted)
+    monkeypatch.setattr(recurrence, "_monic_block", counted)
     # a_0..a_63 and b_0..b_63 need (A_n, C_n) for n <= 64; b_0..b_64 for n <= 65;
     # the divergent state b_0..b_62 for n <= 63
     for run, pairs in (
@@ -323,6 +341,18 @@ def test_q_family_evaluates_each_monic_pair_once(monkeypatch, name, params):
         run(seq)
         run(seq)  # a second pass evaluates nothing
         assert indices == list(range(pairs))
+
+
+def test_q_family_overflowing_squares_raise():
+    # a_0 = A_0 + C_0 is about -a q, whose square overflows
+    seq = make_sequence("little-q-jacobi", {"a": 1e200, "b": 1e-300, "q": 0.5})
+    with pytest.raises(ParameterDomainError, match=r"a_0\^2 overflows a float at a=1e\+200"):
+        seq.a(0)
+    # b_0 .. b_10 are finite and b_11^2 = A_11 C_12 overflows: b_11 was inf
+    seq = make_sequence("little-q-jacobi", {"a": 1e230, "b": -1e-170, "q": -0.25})
+    assert all(math.isfinite(b * b) for b in seq.b_values(11))
+    with pytest.raises(ParameterDomainError, match=r"b_11\^2 overflows a float"):
+        seq.b_values(12)
 
 
 def test_read_surfaces_the_lowest_failing_index():
