@@ -135,8 +135,8 @@ def make_state(
         try:
             b_vals = seq.b_values(count)
         except DefoscError:
-            # a zero below the window's failing index ends the state first; the
-            # values below it are held, and reading the failing index raises again
+            # a zero below the window's failing index ends the state first: the
+            # read kept the values below its failure, and reading that index again raises
             k = next(k for k in range(start, count) if seq.b(k) == 0.0)
             b_vals = seq.b_values(k + 1)
         if 0.0 in b_vals:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterDomainError
+from .errors import DimensionError, ParameterDomainError, ZeroCoefficientError
 from .recurrence import CoefficientSequence
 
 __all__ = [
@@ -305,13 +305,19 @@ def verify_algebra(seq: CoefficientSequence, dim: int, tol: float = 1e-10) -> Al
 
     Each is an identity of the construction for any finite b_n, so a nonzero
     residual means an arithmetic defect (NaN, overflow, subnormal rounding);
-    only xp_identity_gap depends on the family.
+    only xp_identity_gap depends on the family.  Every b_n with n < dim - 1
+    equal to 0.0 leaves no oscillator to verify and raises ZeroCoefficientError.
     """
     if dim < 4:
         raise DimensionError(f"dim must be >= 4, got {dim}")
     if not 0.0 <= tol < math.inf:
         raise ParameterDomainError(f"tol must be finite and >= 0, got {tol}")
     ops = build_operators(seq, dim)
+    if not any(seq.b_values(dim - 1)):
+        raise ZeroCoefficientError(
+            f"every b_n with n < {dim - 1} is 0 in double precision "
+            "(a true zero or an underflow): no oscillator to verify"
+        )
 
     # The target diagonals reuse the same sqrt(2) b_n floats that fill the
     # ladder bands; otherwise the residuals carry eps * b_n^2 rounding noise,

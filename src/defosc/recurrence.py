@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import repeat
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     DegenerateParameterError,
@@ -63,66 +64,62 @@ class QParams:
                 raise ParameterDomainError(f"{name} must be finite, got {v}")
 
 
-def _monic_block(p: QParams, ns: range) -> tuple[list[float], list[float]]:
-    """(A_n, C_n) for a nonempty prefix of the index range ns.
+def _monic_pairs(p: QParams, ns: range) -> Iterator[tuple[float, float]]:
+    """(A_n, C_n) for n in ns, in order, raising at the first n that cannot be formed.
 
-    The prefix stops before the first index whose pair cannot be formed, and
-    a range that starts at such an index raises that index's error.  Powers
-    come from Python's ** once per exponent: q^n for n in ns and one past it,
-    q^k for 2n <= k <= 2n + 2.
+    q^n and 1 - ab q^(2n) carry over from the previous index, so each power
+    of q comes from Python's ** once: q^(n+1), q^(2n+1) and q^(2n+2).
     """
     a, b, q = p.a, p.b, p.q
     ab = a * b
-    lo, hi = ns.start, ns.stop
-    q_pow = [q**k for k in range(lo, hi + 1)]
-    one_minus = [1.0 - ab * q**k for k in range(2 * lo, 2 * hi + 1)]  # 1 - ab q^k
-    A: list[float] = []
-    C: list[float] = []
-    for i, n in enumerate(ns):
-        q_n, q_n1 = q_pow[i], q_pow[i + 1]
-        d0, d1, d2 = one_minus[2 * i], one_minus[2 * i + 1], one_minus[2 * i + 2]
+    q_n = q**ns.start
+    d0 = 1.0 - ab * q ** (2 * ns.start)  # 1 - ab q^(2n)
+    for n in ns:
+        q_n1 = q ** (n + 1)
+        d1 = 1.0 - ab * q ** (2 * n + 1)
+        d2 = 1.0 - ab * q ** (2 * n + 2)
         if d1 == 0.0 or d2 == 0.0 or (n and d0 == 0.0):
             factor = "2n+1" if d1 == 0.0 else "2n+2" if d2 == 0.0 else "2n"
-            error: Exception = DegenerateParameterError(
+            raise DegenerateParameterError(
                 f"degenerate parameters: 1 - a*b*q^({factor}) vanishes at n={n}"
             )
-        else:
-            A_n = q_n * (1.0 - a * q_n1) * (1.0 - ab * q_n1) / (d1 * d2)
-            # C_0 multiplies p_{-1} = 0; its closed form is 0/0 at ab = 1 (q-Legendre)
-            C_n = a * q_n * (1.0 - q_n) * (1.0 - b * q_n) / (d0 * d1) if n else 0.0
-            if math.isfinite(A_n) and math.isfinite(C_n):
-                A.append(A_n)
-                C.append(C_n)
-                continue
-            error = ParameterDomainError(
+        den_a, den_c = d1 * d2, d0 * d1
+        A_n = q_n * (1.0 - a * q_n1) * (1.0 - ab * q_n1) / den_a
+        # C_0 multiplies p_{-1} = 0; its closed form is 0/0 at ab = 1 (q-Legendre)
+        C_n = a * q_n * (1.0 - q_n) * (1.0 - b * q_n) / den_c if n else 0.0
+        if not (math.isfinite(A_n) and math.isfinite(C_n)):
+            raise ParameterDomainError(
                 f"little q-Jacobi A_{n}, C_{n} overflow a float at a={a}, b={b}, q={q}"
             )
-        if A:
-            break
-        raise error
-    return A, C
+        # a finite numerator over an infinite denominator rounds A_n or C_n to 0
+        if not (math.isfinite(den_a) and (not n or math.isfinite(den_c))):
+            raise ParameterDomainError(
+                f"little q-Jacobi denominators (1 - a*b*q^k) overflow a float "
+                f"at n={n}, a={a}, b={b}, q={q}"
+            )
+        yield A_n, C_n
+        q_n, d0 = q_n1, d2
 
 
 def little_q_jacobi_monic_coeffs(p: QParams, n: int) -> tuple[float, float]:
     """Return (A_n, C_n) of the monic-form little q-Jacobi recurrence.
 
-    The one-index case of the block evaluation the q-families fill from.
+    The one-index case of the pair generator the q-families fill from.
     """
     if n < 0:
         raise ParameterDomainError(f"n must be >= 0, got {n}")
-    (A_n,), (C_n,) = _monic_block(p, range(n, n + 1))
-    return A_n, C_n
+    return next(_monic_pairs(p, range(n, n + 1)))
 
 
 class CoefficientSequence:
     """Recurrence coefficients a_n, b_n of one family instance.
 
-    a_fn and b_fn evaluate a block: given a range of indices, they return the
-    values of a nonempty prefix of it, stopping before the first index whose
-    value cannot be formed, and raise that index's error when the range starts
-    there.  Each coefficient is kept in a list extended one block at a time in
-    index order, so every index is evaluated once, reads below a failing index
-    succeed and reads at or above it raise the lowest failing index's error.
+    a_fn and b_fn map a range of indices to an iterator over its values in
+    index order, which raises at the first index whose value cannot be formed.
+    Each coefficient is kept in a list that a read extends from that iterator;
+    the extension keeps the values yielded before an error, so every index is
+    evaluated once, reads below a failing index succeed and reads at or above
+    it raise the lowest failing index's error.
     radius_sq is R^2 = lim 2 b_n^2, the radius of convergence in |z|^2 of the
     coherent-state norm series sum_n |z|^{2n} / prod_{k<n} 2 b_k^2; NaN when
     the family does not state it.
@@ -132,8 +129,8 @@ class CoefficientSequence:
         self,
         family_id: str,
         params: dict,
-        a_fn: Callable[[range], list[float]],
-        b_fn: Callable[[range], list[float]],
+        a_fn: Callable[[range], Iterable[float]],
+        b_fn: Callable[[range], Iterable[float]],
         radius_sq: float = math.nan,
     ):
         self.family_id = family_id
@@ -148,7 +145,7 @@ class CoefficientSequence:
         if n < 0:
             raise ParameterDomainError(f"a(n) requires n >= 0, got {n}")
         vals = self._a_vals
-        while len(vals) <= n:
+        if len(vals) <= n:
             vals.extend(self._a_fn(range(len(vals), n + 1)))
         return vals[n]
 
@@ -158,7 +155,7 @@ class CoefficientSequence:
         if n < -1:
             raise ParameterDomainError(f"b(n) requires n >= -1, got {n}")
         vals = self._b_vals
-        while len(vals) <= n:
+        if len(vals) <= n:
             vals.extend(self._b_fn(range(len(vals), n + 1)))
         return vals[n]
 
@@ -203,8 +200,9 @@ def custom_sequence(
 ) -> CoefficientSequence:
     """Wrap raw callables n -> value as a sequence (no positivity check, for tests and fits).
 
-    Each callable is asked for one index per call, in index order, so an error
-    it raises at some n surfaces on the read of n and never earlier.  Its
+    Each callable is asked for one index per call, in index order and only up
+    to the index read, so an error it raises at some n surfaces on the read of
+    n and never earlier, and the values below n are kept.  Its
     radius of convergence R^2 is unknown (NaN), so make_state treats its
     coherent states as divergent: the exact normalized finite section.
     """
@@ -213,8 +211,8 @@ def custom_sequence(
     return CoefficientSequence(
         family_id,
         params or {},
-        lambda ns: [float(a_fn(ns.start))],
-        lambda ns: [float(b_fn(ns.start))],
+        lambda ns: (float(a_fn(n)) for n in ns),
+        lambda ns: (float(b_fn(n)) for n in ns),
     )
 
 
@@ -254,8 +252,8 @@ class FamilySpec:
 # 1/2 where b_n -> 1/2, and 0 for the q-families, whose b_n decay like |q|^n.
 
 
-def _zeros(ns: range) -> list[float]:
-    return [0.0] * len(ns)
+def _zeros(ns: range) -> Iterator[float]:
+    return repeat(0.0, len(ns))
 
 
 def _harmonic() -> CoefficientSequence:
@@ -263,7 +261,7 @@ def _harmonic() -> CoefficientSequence:
         "harmonic",
         {},
         _zeros,
-        lambda ns: [math.sqrt((n + 1) / 2.0) for n in ns],
+        lambda ns: (math.sqrt((n + 1) / 2.0) for n in ns),
         radius_sq=math.inf,
     )
 
@@ -273,14 +271,14 @@ def _chebyshev_t() -> CoefficientSequence:
         "chebyshev-t",
         {},
         _zeros,
-        lambda ns: [1.0 / math.sqrt(2.0) if n == 0 else 0.5 for n in ns],
+        lambda ns: (1.0 / math.sqrt(2.0) if n == 0 else 0.5 for n in ns),
         radius_sq=0.5,
     )
 
 
 def _chebyshev_u() -> CoefficientSequence:
     return CoefficientSequence(
-        "chebyshev-u", {}, _zeros, lambda ns: [0.5] * len(ns), radius_sq=0.5
+        "chebyshev-u", {}, _zeros, lambda ns: repeat(0.5, len(ns)), radius_sq=0.5
     )
 
 
@@ -289,31 +287,23 @@ def _laguerre(alpha: float = 0.0) -> CoefficientSequence:
         raise ParameterDomainError(f"laguerre requires alpha > -1, got {alpha}")
 
     # X^2 and the other operator products square a_n, so a_n^2 must be finite too
-    def a_fn(ns: range) -> list[float]:
-        out = []
+    def a_fn(ns: range) -> Iterator[float]:
         for n in ns:
             a_n = 2.0 * n + alpha + 1.0
             if not math.isfinite(a_n * a_n):
-                if out:
-                    break
                 raise ParameterDomainError(
                     f"laguerre a_{n}^2 = (2n+alpha+1)^2 overflows a float at alpha={alpha}, n={n}"
                 )
-            out.append(a_n)
-        return out
+            yield a_n
 
-    def b_fn(ns: range) -> list[float]:
-        out = []
+    def b_fn(ns: range) -> Iterator[float]:
         for n in ns:
             b_sq = (n + 1.0) * (n + alpha + 1.0)
             if not math.isfinite(b_sq):
-                if out:
-                    break
                 raise ParameterDomainError(
                     f"laguerre b_{n}^2 = (n+1)(n+alpha+1) overflows a float at alpha={alpha}, n={n}"
                 )
-            out.append(math.sqrt(b_sq))
-        return out
+            yield math.sqrt(b_sq)
 
     return CoefficientSequence("laguerre", {"alpha": alpha}, a_fn, b_fn, radius_sq=math.inf)
 
@@ -324,35 +314,30 @@ def _little_q_jacobi_seq(
     A: list[float] = []  # monic-form (A_n, C_n), each index evaluated once, in order
     C: list[float] = []
 
-    def pairs(need: int, stop: int) -> int:
-        # hold the pairs n < need, raising the first failing index's error, and
-        # evaluate towards stop; return how many of the pairs n < stop are held
-        while len(A) < need:
-            A_block, C_block = _monic_block(p, range(len(A), stop))
-            A.extend(A_block)
-            C.extend(C_block)
-        return min(len(A), stop)
+    def pairs(ns: range) -> Iterator[tuple[float, float]]:
+        # needs ns.start <= len(A), which holds for every read: a stored a_n
+        # implies pair n was stored, and a stored b_n implies pair n + 1
+        yield from zip(A[ns.start : ns.stop], C[ns.start : ns.stop])
+        for A_n, C_n in _monic_pairs(p, range(len(A), ns.stop)):
+            A.append(A_n)
+            C.append(C_n)
+            yield A_n, C_n
 
-    def a_fn(ns: range) -> list[float]:
-        out = []
-        for n in range(ns.start, pairs(ns.start + 1, ns.stop)):
-            a_n = scale * (A[n] + C[n])
+    def a_fn(ns: range) -> Iterator[float]:
+        for n, (A_n, C_n) in enumerate(pairs(ns), ns.start):
+            a_n = scale * (A_n + C_n)
             if not math.isfinite(a_n * a_n):
-                if out:
-                    break
                 raise ParameterDomainError(
                     f"{family_id} a_{n}^2 overflows a float at a={p.a}, b={p.b}, q={p.q}"
                 )
-            out.append(a_n)
-        return out
+            yield a_n
 
-    def b_fn(ns: range) -> list[float]:
-        out = []
-        for n in range(ns.start, pairs(ns.start + 2, ns.stop + 1) - 1):
-            b_sq = A[n] * C[n + 1]
+    def b_fn(ns: range) -> Iterator[float]:
+        pair_iter = pairs(range(ns.start, ns.stop + 1))  # b_n = sqrt(A_n C_{n+1})
+        A_n = next(pair_iter)[0]
+        for n, (A_next, C_next) in enumerate(pair_iter, ns.start):
+            b_sq = A_n * C_next
             if not 0.0 <= b_sq < math.inf:
-                if out:
-                    break
                 if b_sq < 0.0:
                     raise NonPositiveDefiniteError(
                         f"A_{n}*C_{n + 1} = {b_sq} < 0: parameters do not define a real oscillator"
@@ -360,8 +345,8 @@ def _little_q_jacobi_seq(
                 raise ParameterDomainError(
                     f"{family_id} b_{n}^2 overflows a float at a={p.a}, b={p.b}, q={p.q}"
                 )
-            out.append(scale * math.sqrt(b_sq))
-        return out
+            yield scale * math.sqrt(b_sq)
+            A_n = A_next
 
     return CoefficientSequence(family_id, params, a_fn, b_fn, radius_sq=0.0)
 

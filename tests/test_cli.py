@@ -190,6 +190,42 @@ def test_q_family_overflowing_parameters_exit_2(capsys):
             assert f"A_0, C_0 overflow a float at a={float(a)}, b={float(b)}, q=0.5" in err
 
 
+def test_q_family_overflowing_denominators_exit_2(capsys):
+    # (1 - a*b*q)(1 - a*b*q^2) overflowed to inf over a finite numerator, so
+    # every A_n and b_n came out 0: verify exited 0 with every relation passed
+    family = ["--family", "little-q-jacobi", "--a", "1", "--b", "1e200", "--q", "0.5"]
+    for command in (["verify"], ["classify"], ["coherent", "--z", "0.5", "--dim", "8"]):
+        code, out, err = _run(capsys, [*command, *family])
+        assert code == 2 and out == ""
+        assert err == (
+            "defosc: error: little q-Jacobi denominators (1 - a*b*q^k) overflow a float "
+            "at n=0, a=1.0, b=1e+200, q=0.5\n"
+        )
+    # a non-finite A_0 is still reported as such, although its denominator overflows too
+    family = ["--family", "little-q-jacobi", "--a", "1e160", "--b", "1", "--q", "0.5"]
+    code, out, err = _run(capsys, ["coherent", "--z", "0.5", "--dim", "8", *family])
+    assert code == 2 and out == ""
+    assert err == (
+        "defosc: error: little q-Jacobi A_0, C_0 overflow a float at a=1e+160, b=1.0, q=0.5\n"
+    )
+
+
+def test_verify_all_zero_window_exits_2(capsys):
+    # a = q^(alpha-1) underflows (alpha = 1100) or is subnormal (alpha = 1074), so
+    # every b_n is 0.0; a = 0 makes every C_n, and so every b_n, exactly 0
+    for family in (
+        ["--family", "ismail-theta", "--theta", "0.7", "--alpha", "1100", "--q", "0.5"],
+        ["--family", "ismail-theta", "--theta", "0.7", "--alpha", "1074", "--q", "0.5"],
+        ["--family", "little-q-jacobi", "--a", "0", "--b", "0.5", "--q", "0.5"],
+    ):
+        code, out, err = _run(capsys, ["verify", *family])
+        assert code == 2 and out == ""
+        assert "every b_n with n < 63 is 0 in double precision" in err
+        assert "no oscillator to verify" in err
+    payload = _run_json(capsys, ["verify", "--family", "fibonacci-golden", "--dim", "4096"])
+    assert payload["passed"] is True
+
+
 def test_degenerate_parameters_name_the_index(capsys):
     argv = ["verify", "--family", "little-q-jacobi", "--a", "64", "--b", "1", "--q", "0.5"]
     code, out, err = _run(capsys, argv)

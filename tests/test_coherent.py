@@ -303,9 +303,9 @@ def test_underflowing_q_family_is_read_only_to_its_first_zero_coefficient(monkey
     b_fn = seq._b_fn
 
     def counted(ns):
-        values = b_fn(ns)
-        evaluated.extend(ns[: len(values)])
-        return values
+        for n, value in zip(ns, b_fn(ns)):
+            evaluated.append(n)
+            yield value
 
     monkeypatch.setattr(seq, "_b_fn", counted)
     with pytest.raises(ZeroCoefficientError, match="b_387 = 0"):

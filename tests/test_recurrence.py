@@ -280,8 +280,8 @@ _INSTANCES = (
 @pytest.mark.parametrize("count", [1, 64, 4096])
 @pytest.mark.parametrize("name,params", _INSTANCES)
 def test_vectors_equal_scalar_reads(name, params, count):
-    # the block boundaries never change a value: one block, one index per
-    # block, and ragged windows give the same floats bit for bit
+    # where a read starts never changes a value: one read, one index per
+    # read, and ragged windows give the same floats bit for bit
     vec = make_sequence(name, params)
     one = make_sequence(name, params)
     ragged = make_sequence(name, params)
@@ -321,14 +321,14 @@ def test_q_family_evaluates_each_monic_pair_once(monkeypatch, name, params):
     from defosc.oscillator import verify_algebra
 
     indices = []
-    block = recurrence._monic_block
+    monic_pairs = recurrence._monic_pairs
 
     def counted(p, ns):
-        A, C = block(p, ns)
-        indices.extend(ns[: len(A)])
-        return A, C
+        for n, pair in zip(ns, monic_pairs(p, ns)):
+            indices.append(n)
+            yield pair
 
-    monkeypatch.setattr(recurrence, "_monic_block", counted)
+    monkeypatch.setattr(recurrence, "_monic_pairs", counted)
     # a_0..a_63 and b_0..b_63 need (A_n, C_n) for n <= 64; b_0..b_64 for n <= 65;
     # the divergent state b_0..b_62 for n <= 63
     for run, pairs in (
@@ -363,6 +363,22 @@ def test_read_surfaces_the_lowest_failing_index():
             seq.b(5)
     with pytest.raises(NonPositiveDefiniteError, match=r"A_0\*C_1 "):
         seq.b_values(6)
+
+
+def test_lowest_failing_index_wins_across_a_value_and_a_pair_error():
+    # A_0*C_1 < 0 makes b_0 fail on its value; a*b*q^5 = 1 makes the pair
+    # (A_2, C_2) degenerate, so a_2 and b_1 fail on the pair
+    from defosc.coherent import make_state
+
+    params = {"a": 4.0, "b": 8.0, "q": 0.5}
+    seq = make_sequence("little-q-jacobi", params)
+    with pytest.raises(NonPositiveDefiniteError, match=r"A_0\*C_1 "):
+        seq.b_values(12)
+    with pytest.raises(DegenerateParameterError, match=r"q\^\(2n\+1\) vanishes at n=2"):
+        seq.a_values(12)
+    assert seq.a(1) == make_sequence("little-q-jacobi", params).a(1)
+    with pytest.raises(NonPositiveDefiniteError, match=r"A_0\*C_1 "):
+        make_state(seq, 0.5, 12)
 
 
 # -- polynomial evaluation --
