@@ -10,7 +10,8 @@ a non-quadratic sequence.
 
 Every tolerance is relative to one scale S = max_{n <= n_max} b_n^2, the
 largest b_n^2 in the window.  The factored form is unchanged by
-b_n^2 -> c b_n^2, and so is every verdict.
+b_n^2 -> c b_n^2, and so is every verdict.  The window is read once per
+call; when every b_n^2 in it is 0.0 there is nothing to classify.
 
 Verdicts are "up to n_max": a sequence that departs from the factored form
 only beyond the tested range is reported Finite.
@@ -19,7 +20,7 @@ only beyond the tested range is reported Finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ParameterDomainError, ZeroCoefficientError
 from .recurrence import CoefficientSequence
@@ -39,14 +40,34 @@ FINITE = "Finite"
 INFINITE = "Infinite"
 INCONCLUSIVE = "Inconclusive"
 
+# Rounding bound on the spread of row j, over S.  A b_n^2 formed as (sqrt x)^2
+# has relative error |dx| + 3u (u = eps/2: u from the root, doubled by the
+# square, u from the product), where dx is the family's own rounding of x;
+# 4 eps covers dx up to 5u, so each b_n^2 is off by at most 4 eps S.  Row j is
+# the (j+1)-th difference of b_n^2 (b_{-1} = 0 is exact), so its entries are
+# off by at most 2^(j+1) times that, and max - min of a quadratic's constant
+# row by 2^(j+4) eps S.  Spreads below it are noise, not a witness.
+_EPS = math.ulp(1.0)
 
-def _nonzero_scale(scale: float, n_max: int) -> float:
-    if scale == 0.0:
+
+def _squares(seq: CoefficientSequence, n_max: int) -> list[float]:
+    """[b_0^2, ..., b_{n_max}^2]; ZeroCoefficientError when all are 0.0."""
+    b_sq = [b * b for b in seq.b_values(n_max + 1)]
+    if not any(b_sq):  # a NaN counts as nonzero and is the caller's to judge
         raise ZeroCoefficientError(
             f"every b_n^2 with n <= {n_max} is 0 in double precision "
             "(a true zero or an underflow): no oscillator to classify"
         )
-    return scale
+    return b_sq
+
+
+def _rows(b_sq: list[float], j_max: int) -> tuple[tuple[float, ...], ...]:
+    row = [b - prev for prev, b in zip([0.0, *b_sq], b_sq)]  # A^(0)_0 = b_0^2 via b_{-1} = 0
+    rows = [tuple(row)]
+    for _ in range(j_max):
+        row = [b - a for a, b in zip(row, row[1:])]
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -55,33 +76,21 @@ class DifferenceTable:
 
     Row 0 is A^(0)_n = b_n^2 - b_{n-1}^2 with b_{-1} = 0, for 0 <= n <= n_max;
     row j is the forward difference of row j-1, for 0 <= n <= n_max - j.
-    scale is S = max_{n <= n_max} b_n^2, as difference_table found it.
+    scale is S = max_{n <= n_max} b_n^2, which is > 0.
     """
 
-    n_max: int
-    j_max: int
     rows: tuple[tuple[float, ...], ...]
     scale: float
 
-    def row(self, j: int) -> tuple[float, ...]:
-        return self.rows[j]
-
     def spread(self, j: int) -> float:
-        """max - min of row j over S; ZeroCoefficientError when S = 0."""
+        """max - min of row j over S."""
         row = self.rows[j]
-        return (max(row) - min(row)) / _nonzero_scale(self.scale, self.n_max)
+        return (max(row) - min(row)) / self.scale
 
     def csv_rows(self):
         for j, row in enumerate(self.rows):
             for n, value in enumerate(row):
                 yield j, n, value
-
-    def to_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "j_max": self.j_max,
-            "rows": [list(r) for r in self.rows],
-        }
 
 
 def difference_table(seq: CoefficientSequence, n_max: int, j_max: int) -> DifferenceTable:
@@ -92,13 +101,8 @@ def difference_table(seq: CoefficientSequence, n_max: int, j_max: int) -> Differ
         raise ParameterDomainError(
             f"n_max must be >= j_max + 2, got n_max={n_max}, j_max={j_max}"
         )
-    b_sq = [b * b for b in seq.b_values(n_max + 1)]
-    row = [b - prev for prev, b in zip([0.0, *b_sq], b_sq)]  # A^(0)_0 = b_0^2 via b_{-1} = 0
-    rows = [tuple(row)]
-    for _ in range(j_max):
-        row = [b - a for a, b in zip(row, row[1:])]
-        rows.append(tuple(row))
-    return DifferenceTable(n_max, j_max, tuple(rows), max(b_sq))
+    b_sq = _squares(seq, n_max)
+    return DifferenceTable(_rows(b_sq, j_max), max(b_sq))
 
 
 def fit_beta(seq: CoefficientSequence) -> tuple[float, float]:
@@ -126,17 +130,7 @@ class ClassificationResult:
     row_spreads: tuple[float, ...] | None = None  # spreads of rows 1, 2 over S
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "n_max": self.n_max,
-            "tolerance": self.tolerance,
-            "fit_residual": self.fit_residual,
-            "beta0": self.beta0,
-            "beta2": self.beta2,
-            "dim": self.dim,
-            "witness_j": self.witness_j,
-            "row_spreads": list(self.row_spreads) if self.row_spreads is not None else None,
-        }
+        return asdict(self)
 
 
 def classify(
@@ -147,31 +141,33 @@ def classify(
     Finite iff |b_n^2 - (beta0 + beta2 n)(1 + n)| <= tol * S for every
     n <= n_max, with (beta0, beta2) from fit_beta and S = max_{n <= n_max}
     b_n^2.  Otherwise Infinite, with witness_j the smallest j in {1, 2}
-    whose difference-table row spreads by more than tol * S (rows j >= 3 of
-    any quadratic vanish, so a non-constant low row certifies non-quadratic
-    b_n^2).  Inconclusive when the factored-form check fails but both rows
-    look constant, i.e. numeric noise straddles the tolerance, or when some
-    b_n^2 is NaN; the residuals found are reported.  S = 0, every b_n^2 a
-    zero or an underflow, raises ZeroCoefficientError.
+    whose difference-table row spreads by more than both tol * S and the
+    row's rounding bound 2^(j+4) eps S (rows j >= 3 of any quadratic vanish,
+    so a non-constant low row certifies non-quadratic b_n^2).  Inconclusive
+    when the factored-form check fails but both rows look constant, i.e.
+    numeric noise straddles the tolerance, or when some b_n^2 is NaN; the
+    residuals found are reported.  S = 0, every b_n^2 a zero or an
+    underflow, raises ZeroCoefficientError.
     """
     if n_max < 8:
         raise ParameterDomainError(f"n_max must be >= 8, got {n_max}")
     if not 0.0 <= tol < math.inf:
         raise ParameterDomainError(f"tol must be finite and >= 0, got {tol}")
     beta0, beta2 = fit_beta(seq)
-    b_sq = [b * b for b in seq.b_values(n_max + 1)]
+    b_sq = _squares(seq, n_max)
     if math.isnan(sum(b_sq)):  # a NaN b_n^2 fits no form and decides nothing
         return ClassificationResult(INCONCLUSIVE, n_max, tol, math.nan)
+    scale = max(b_sq)
     residual = max(abs(b - (beta0 + beta2 * n) * (1.0 + n)) for n, b in enumerate(b_sq))
-    fit_residual = residual / _nonzero_scale(max(b_sq), n_max)
+    fit_residual = residual / scale
     if fit_residual <= tol:
         return ClassificationResult(
             FINITE, n_max, tol, fit_residual, beta0=beta0, beta2=beta2, dim=4
         )
-    table = difference_table(seq, n_max, 2)
+    table = DifferenceTable(_rows(b_sq, 2), scale)
     spreads = (table.spread(1), table.spread(2))
     for j, spread in zip((1, 2), spreads):
-        if spread > tol:
+        if spread > max(tol, 2.0 ** (j + 4) * _EPS):
             return ClassificationResult(
                 INFINITE, n_max, tol, fit_residual, witness_j=j, row_spreads=spreads
             )

@@ -217,8 +217,8 @@ class Operators:
 
 def build_operators(seq: CoefficientSequence, dim: int) -> Operators:
     """Assemble X, P, a+-, N, B(N) and H for `seq` truncated at `dim`."""
-    if dim < 3:
-        raise DimensionError(f"dim must be >= 3, got {dim}")
+    if dim < 2:
+        raise DimensionError(f"dim must be >= 2, got {dim}")
     b_vals = np.array(seq.b_values(dim - 1))
     a_vals = np.array(seq.a_values(dim))
     # B's eigenvalues are assembled from the same sqrt(2) b_n products that

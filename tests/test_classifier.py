@@ -165,10 +165,68 @@ def test_all_zero_b_has_no_verdict():
     zero = custom_sequence(lambda n: 0.0)
     with pytest.raises(ZeroCoefficientError, match=r"every b_n\^2 with n <= 64 is 0"):
         classify(zero)
-    table = difference_table(zero, 8, 2)
-    assert table.row(1) == (0.0,) * 8
-    with pytest.raises(ZeroCoefficientError):
-        table.spread(1)
+    # the CSV table used to print zeros for the same window
+    with pytest.raises(ZeroCoefficientError, match=r"every b_n\^2 with n <= 8 is 0"):
+        difference_table(zero, 8, 2)
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("ismail-theta", {"theta": 300.0}),
+        ("little-q-jacobi", {"a": 0.0, "b": 0.5, "q": 0.5}),
+        ("ismail-theta", {"theta": 0.7, "alpha": 1100.0, "q": 0.5}),
+    ],
+)
+def test_all_zero_window_has_no_table(family, params):
+    seq = make_sequence(family, params)
+    for n_max, j_max in ((8, 2), (64, 2), (64, 5)):
+        with pytest.raises(ZeroCoefficientError, match=rf"every b_n\^2 with n <= {n_max} is 0"):
+            difference_table(seq, n_max, j_max)
+
+
+def test_classify_reads_the_window_once():
+    # the witness rows were rebuilt by difference_table, a second read and square
+    seq = make_sequence("chebyshev-t")
+    calls = []
+    read = seq.b_values
+    seq.b_values = lambda count: calls.append(count) or read(count)
+    assert classify(seq, n_max=64).verdict == INFINITE
+    assert calls == [65]
+
+
+_NOISE_TOLS = (0.0, 1e-16, 1e-15)
+_LAGUERRE_ALPHAS = (-0.5, 0.0, 0.5, 1.0, 2.5, 10.0, 1e3, 1e6, 1e9, 1e15, 1e100, 1e300)
+
+
+@pytest.mark.parametrize("n_max", (8, 64, 1024, 16384))
+def test_rounding_noise_is_no_witness(n_max):
+    # harmonic --tol 0 was Infinite on row spreads of 7.7e-16 and 1.5e-15
+    seqs = [make_sequence("harmonic")]
+    seqs += [make_sequence("laguerre", {"alpha": a}) for a in _LAGUERRE_ALPHAS]
+    for seq in seqs:
+        for tol in _NOISE_TOLS:
+            res = classify(seq, n_max=n_max, tol=tol)
+            assert res.verdict != INFINITE, (seq, tol, res.row_spreads)
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("chebyshev-t", None),
+        ("chebyshev-u", None),
+        ("fibonacci-golden", None),
+        ("little-q-jacobi", {"a": 0.5, "b": 0.5, "q": 0.5}),
+        ("little-q-jacobi", {"a": 1e-5, "b": 1.0, "q": 1e-5}),
+        ("ismail-theta", {"theta": 0.7}),
+        ("ismail-theta", {"theta": 5.0}),
+        ("ismail-theta", {"theta": 20.0}),
+    ],
+)
+def test_non_quadratic_is_infinite_at_zero_tolerance(family, params):
+    res = classify(make_sequence(family, params), tol=0.0)
+    assert res.verdict == INFINITE
+    assert res.witness_j == 1
 
 
 # -- difference table --
@@ -177,9 +235,8 @@ def test_difference_table_hand_example():
     # b_n^2 = (n+1)^2: rows (1,3,5,...), (2,2,...), (0,...)
     seq = custom_sequence(lambda n: float(n + 1))
     table = difference_table(seq, 5, 2)
-    assert table.row(0) == (1.0, 3.0, 5.0, 7.0, 9.0, 11.0)
-    assert table.row(1) == (2.0,) * 5
-    assert table.row(2) == (0.0,) * 4
+    assert table.rows == ((1.0, 3.0, 5.0, 7.0, 9.0, 11.0), (2.0,) * 5, (0.0,) * 4)
+    assert table.scale == 36.0
     assert table.spread(1) == 0.0
     assert table.spread(2) == 0.0
     assert table.spread(0) > 0.0
@@ -187,31 +244,28 @@ def test_difference_table_hand_example():
 
 def test_harmonic_row_zero_is_constant_half():
     table = difference_table(make_sequence("harmonic"), 10, 2)
-    assert table.row(0) == pytest.approx([0.5] * 11, rel=1e-14)
+    assert table.rows[0] == pytest.approx([0.5] * 11, rel=1e-14)
 
 
 def test_laguerre_row_one_is_constant_two():
     table = difference_table(make_sequence("laguerre", {"alpha": 0.5}), 10, 2)
-    assert table.row(1) == pytest.approx([2.0] * 10, rel=1e-13)
+    assert table.rows[1] == pytest.approx([2.0] * 10, rel=1e-13)
 
 
 def test_rows_iterate_forward_differences():
     table = difference_table(make_sequence("chebyshev-t"), 8, 2)
     for j in (1, 2):
-        upper = table.row(j - 1)
-        assert table.row(j) == pytest.approx(np.diff(upper), rel=1e-14, abs=1e-14)
+        upper = table.rows[j - 1]
+        assert table.rows[j] == pytest.approx(np.diff(upper), rel=1e-14, abs=1e-14)
 
 
 def test_table_lengths_and_csv():
     table = difference_table(make_sequence("harmonic"), 6, 2)
-    assert [len(table.row(j)) for j in range(3)] == [7, 6, 5]
+    assert [len(row) for row in table.rows] == [7, 6, 5]
     rows = list(table.csv_rows())
     assert len(rows) == 7 + 6 + 5
     assert rows[0][:2] == (0, 0)
     assert rows[0][2] == pytest.approx(0.5, rel=1e-14)
-    d = table.to_dict()
-    assert d["n_max"] == 6 and d["j_max"] == 2
-    assert len(d["rows"]) == 3
 
 
 # -- validation and reporting --

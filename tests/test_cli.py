@@ -250,6 +250,25 @@ def test_classify_underflowed_b_exits_2(capsys):
     assert "0 in double precision (a true zero or an underflow)" in err
 
 
+@pytest.mark.parametrize(
+    "family",
+    [
+        ["--family", "ismail-theta", "--theta", "300"],
+        ["--family", "little-q-jacobi", "--a", "0", "--b", "0.5", "--q", "0.5"],
+        ["--family", "ismail-theta", "--theta", "0.7", "--alpha", "1100", "--q", "0.5"],
+    ],
+)
+def test_classify_all_zero_window_exits_2_in_both_formats(capsys, family):
+    # the CSV table exited 0 printing zeros where JSON exited 2
+    errors = []
+    for fmt in ("json", "csv"):
+        code, out, err = _run(capsys, ["classify", *family, "--format", fmt])
+        assert code == 2 and out == "", fmt
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert "every b_n^2 with n <= 64 is 0 in double precision" in errors[0]
+
+
 def test_little_q_legendre_is_accepted(capsys):
     # C_0 was 0/0 at ab = 1: each exited 2 with "1 - a*b*q^(2n) vanishes"
     for argv in (
@@ -281,6 +300,16 @@ def test_coherent_csv_default_format(capsys):
     lines = out.splitlines()
     assert lines[0] == "z,norm_constant,log_norm_constant,residual,dx_dp,bound,convergent,truncation_ok"
     assert len(lines) == 4
+
+
+def test_coherent_at_dim_2(capsys):
+    # make_state takes dim 2, but uncertainty's build_operators exited 2 with
+    # "dim must be >= 3"
+    code, out, err = _run(
+        capsys, ["coherent", "--family", "harmonic", "--z", "0.5", "--dim", "2", "--tol", "0.1"]
+    )
+    assert code == 0, err
+    assert len(out.splitlines()) == 2
 
 
 def test_coherent_json_format(capsys):

@@ -211,8 +211,11 @@ def test_number_operator_annihilates_ground_state():
 
 
 def test_build_operators_rejects_small_dim():
-    with pytest.raises(DimensionError):
-        build_operators(make_sequence("harmonic"), 2)
+    with pytest.raises(DimensionError, match="dim must be >= 2"):
+        build_operators(make_sequence("harmonic"), 1)
+    # dim 2 has every product: H = a+ a- + a- a+ = diag(1, 1) for harmonic
+    ops = build_operators(make_sequence("harmonic"), 2)
+    assert np.allclose(ops.hamiltonian.to_dense(), np.eye(2), rtol=0.0, atol=1e-15)
 
 
 def test_chebyshev_u_position_spectrum():
