@@ -127,8 +127,10 @@ def make_state(
         coeffs[0] = 1.0
         return CoherentState(z, dim, coeffs, 1.0, 0.0, 0.0, True)
 
-    # a q-family b_k can underflow to 0 a few hundred levels in; windows keep
-    # the levels evaluated past it to about as many again
+    # a q-family b_k can underflow to 0 a few hundred levels in, below the
+    # index where its fill stops evaluating and copies (golden: b_387 = 0,
+    # copies from 777); windows keep the levels evaluated past the zero to
+    # about as many again
     count = 0
     while count < dim - 1:
         start, count = count, min(dim - 1, 2 * count + 64)

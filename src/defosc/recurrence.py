@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, cycle, islice, repeat
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
@@ -313,17 +313,53 @@ def _little_q_jacobi_seq(
 ) -> CoefficientSequence:
     A: list[float] = []  # monic-form (A_n, C_n), each index evaluated once, in order
     C: list[float] = []
+    q = p.q
+    # n0 + 2, once a read reaches n0, the least n with q**n == 0.0.  From n0 on,
+    # every power of q the pairs take is a signed zero of the parity of n and
+    # every 1 - (...) q^k factor is 1.0, so pair n, a_n and b_n equal their
+    # values at n0 + (n - n0) % 2 bit for bit, and the checks that passed there
+    # pass at every later n: only pairs 0 .. n0 + 1 are evaluated.
+    tail: int | None = None
 
     def pairs(ns: range) -> Iterator[tuple[float, float]]:
-        # needs ns.start <= len(A), which holds for every read: a stored a_n
-        # implies pair n was stored, and a stored b_n implies pair n + 1
-        yield from zip(A[ns.start : ns.stop], C[ns.start : ns.stop])
-        for A_n, C_n in _monic_pairs(p, range(len(A), ns.stop)):
+        # needs ns.start <= len(A) and ns.stop <= tail + 1, which hold for every
+        # head read: a stored a_n below the tail implies pair n was stored, a
+        # stored b_n pair n + 1, and b_{n0+1} takes pair n0 + 2 = pair n0
+        stop = ns.stop if tail is None else min(ns.stop, tail)
+        yield from zip(A[ns.start : stop], C[ns.start : stop])
+        for A_n, C_n in _monic_pairs(p, range(len(A), stop)):
             A.append(A_n)
             C.append(C_n)
             yield A_n, C_n
+        if stop < ns.stop:
+            yield A[tail - 2], C[tail - 2]
 
-    def a_fn(ns: range) -> Iterator[float]:
+    def with_tail(head: Callable[[range], Iterator[float]]) -> Callable[[range], Iterable[float]]:
+        # head evaluates the indices below the tail; the rest repeat head's
+        # values at n0 and n0 + 1, chained lazily once head is exhausted
+        def fill(ns: range) -> Iterable[float]:
+            nonlocal tail
+            if tail is None and q ** (ns.stop - 1) == 0.0:
+                lo, hi = 0, ns.stop - 1  # bisect for n0: |q|^n falls with n
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    lo, hi = (lo, mid) if q**mid == 0.0 else (mid + 1, hi)
+                tail = lo + 2
+            if tail is None or ns.stop <= tail:
+                return head(ns)
+
+            def parts() -> Iterator[Iterable[float]]:
+                if ns.start < tail:
+                    yield head(range(ns.start, tail))
+                start = max(ns.start, tail)
+                skip = (start - tail) % 2
+                yield islice(cycle(list(head(range(tail - 2, tail)))), skip, skip + ns.stop - start)
+
+            return chain.from_iterable(parts())
+
+        return fill
+
+    def a_head(ns: range) -> Iterator[float]:
         for n, (A_n, C_n) in enumerate(pairs(ns), ns.start):
             a_n = scale * (A_n + C_n)
             if not math.isfinite(a_n * a_n):
@@ -332,7 +368,7 @@ def _little_q_jacobi_seq(
                 )
             yield a_n
 
-    def b_fn(ns: range) -> Iterator[float]:
+    def b_head(ns: range) -> Iterator[float]:
         pair_iter = pairs(range(ns.start, ns.stop + 1))  # b_n = sqrt(A_n C_{n+1})
         A_n = next(pair_iter)[0]
         for n, (A_next, C_next) in enumerate(pair_iter, ns.start):
@@ -348,7 +384,9 @@ def _little_q_jacobi_seq(
             yield scale * math.sqrt(b_sq)
             A_n = A_next
 
-    return CoefficientSequence(family_id, params, a_fn, b_fn, radius_sq=0.0)
+    return CoefficientSequence(
+        family_id, params, with_tail(a_head), with_tail(b_head), radius_sq=0.0
+    )
 
 
 def _little_q_jacobi(a: float, b: float, q: float) -> CoefficientSequence:

@@ -23,6 +23,7 @@ from defosc import (
     make_sequence,
 )
 from defosc import recurrence
+from defosc.fibonacci import THETA0
 from defosc.qseries import q_pochhammer
 
 
@@ -274,10 +275,16 @@ _INSTANCES = (
     ("little-q-jacobi", {"a": 0.5, "b": 0.5, "q": 0.5}),
     ("fibonacci-golden", {}),
     ("ismail-theta", {"theta": 0.7}),
+    ("little-q-jacobi", {"a": -0.5, "b": 0.5, "q": -0.5}),
 )
 
 
-@pytest.mark.parametrize("count", [1, 64, 4096])
+def _hex(values):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("count", [1, 64, 4096, 16384])
 @pytest.mark.parametrize("name,params", _INSTANCES)
 def test_vectors_equal_scalar_reads(name, params, count):
     # where a read starts never changes a value: one read, one index per
@@ -285,14 +292,107 @@ def test_vectors_equal_scalar_reads(name, params, count):
     vec = make_sequence(name, params)
     one = make_sequence(name, params)
     ragged = make_sequence(name, params)
-    want_b = [one.b(n) for n in range(count)]
-    want_a = [one.a(n) for n in range(count)]
+    want_b = _hex(one.b(n) for n in range(count))
+    want_a = _hex(one.a(n) for n in range(count))
     for window in (1, 7, 64, count):
         ragged.b_values(min(window, count))
         ragged.a_values(min(window, count))
-    assert vec.b_values(count) == want_b == ragged.b_values(count)
-    assert vec.a_values(count) == want_a == ragged.a_values(count)
+    assert _hex(vec.b_values(count)) == want_b == _hex(ragged.b_values(count))
+    assert _hex(vec.a_values(count)) == want_a == _hex(ragged.a_values(count))
     assert vec.b_values(0) == []
+
+
+# -- the q-family tail: from the first n0 with q**n0 == 0.0, values repeat with period 2 --
+
+def _first_zero_power(q):
+    n = 0
+    while q**n != 0.0:
+        n += 1
+    return n
+
+
+def _reference(a, b, q, scale, count):
+    """a_n and b_n for n < count, each pair (A_n, C_n) formed on its own.
+
+    No power of q is carried from one index to the next and nothing is
+    copied.  b stops below the first n with A_n C_{n+1} < 0, which it returns.
+    """
+    ab = a * b
+
+    def pair(n):
+        q_n, q_n1 = q**n, q ** (n + 1)
+        d0, d1, d2 = 1.0 - ab * q ** (2 * n), 1.0 - ab * q ** (2 * n + 1), 1.0 - ab * q ** (2 * n + 2)
+        A_n = q_n * (1.0 - a * q_n1) * (1.0 - ab * q_n1) / (d1 * d2)
+        C_n = a * q_n * (1.0 - q_n) * (1.0 - b * q_n) / (d0 * d1) if n else 0.0
+        return A_n, C_n
+
+    pairs = [pair(n) for n in range(count + 1)]
+    a_vals = [scale * (A_n + C_n) for A_n, C_n in pairs[:count]]
+    b_vals = []
+    for n in range(count):
+        b_sq = pairs[n][0] * pairs[n + 1][1]
+        if b_sq < 0.0:
+            return a_vals, b_vals, n
+        b_vals.append(scale * math.sqrt(b_sq))
+    return a_vals, b_vals, None
+
+
+def _ismail(theta, alpha):
+    q = -math.exp(-2.0 * theta)
+    return ("ismail-theta", {"theta": theta, "alpha": alpha}), (q ** (alpha - 1), 1.0, q, math.exp(-theta))
+
+
+_TAIL_INSTANCES = {
+    "golden": (("fibonacci-golden", {}), (GOLDEN_Q, 1.0, GOLDEN_Q, 1.0)),
+    "half": (("little-q-jacobi", {"a": 0.5, "b": 0.5, "q": 0.5}), (0.5, 0.5, 0.5, 1.0)),
+    # q < 0 and a < 0: the tail pairs hold -0.0, which a_n and b_n sum and multiply to 0.0
+    "negative": (("little-q-jacobi", {"a": -0.5, "b": 0.5, "q": -0.5}), (-0.5, 0.5, -0.5, 1.0)),
+    # q < 0 and a > 0: a_n = -0.0 at odd n in the tail, and b_0 already fails
+    "signed-zero": (("little-q-jacobi", {"a": 0.5, "b": 0.5, "q": -0.5}), (0.5, 0.5, -0.5, 1.0)),
+    "ismail-theta0": _ismail(THETA0, 2),
+    "ismail-alpha4": _ismail(0.6, 4),
+    "tiny-q": (("little-q-jacobi", {"a": 0.5, "b": 0.5, "q": 1e-200}), (0.5, 0.5, 1e-200, 1.0)),
+}
+_TAIL_COUNT = 16384
+
+
+@pytest.fixture(scope="module")
+def tail_references():
+    return {key: _reference(*ref, _TAIL_COUNT) for key, (_, ref) in _TAIL_INSTANCES.items()}
+
+
+def _read_orders(n0):
+    # one vector read; one index per read across n0; ragged windows whose
+    # reads start below, at and past the tail start n0 + 2
+    yield "vector", [_TAIL_COUNT]
+    yield "scalar", [n + 1 for n in range(max(0, n0 - 3), n0 + 6)] + [_TAIL_COUNT]
+    for start in (n0 - 1, n0 + 2, n0 + 5):
+        yield f"window from {start}", [start, start + 1, start + 3, _TAIL_COUNT]
+
+
+@pytest.mark.parametrize("key", sorted(_TAIL_INSTANCES))
+def test_q_family_tail_matches_a_reference_bit_for_bit(key, tail_references):
+    (name, params), (_, _, q, _) = _TAIL_INSTANCES[key]
+    want_a, want_b, b_fails = tail_references[key]
+    n0 = _first_zero_power(q)
+    assert n0 < _TAIL_COUNT - 8
+    if key == "signed-zero":
+        assert "-0x0.0p+0" in _hex(want_a[n0:])
+    for order, stops in _read_orders(n0):
+        seq = make_sequence(name, params)
+        for stop in stops:
+            seq.a(stop - 1)
+        assert _hex(seq.a_values(_TAIL_COUNT)) == _hex(want_a), order
+        seq = make_sequence(name, params)
+        if b_fails is not None:
+            with pytest.raises(NonPositiveDefiniteError, match=rf"A_{b_fails}\*C_{b_fails + 1} "):
+                seq.b(stops[0] - 1)
+            with pytest.raises(NonPositiveDefiniteError, match=rf"A_{b_fails}\*C_{b_fails + 1} "):
+                seq.b_values(_TAIL_COUNT)
+            continue
+        for stop in stops:
+            seq.b(stop - 1)
+        assert _hex(seq.b_values(_TAIL_COUNT)) == _hex(want_b), order
 
 
 def test_block_fill_keeps_the_values_below_a_failing_index():
@@ -305,6 +405,12 @@ def test_block_fill_keeps_the_values_below_a_failing_index():
     assert (seq.a(0), seq.a(1), seq.b(0)) == (fresh.a(0), fresh.a(1), fresh.b(0))
     with pytest.raises(DegenerateParameterError, match="at n=2"):
         seq.b(1)
+    # a read past the tail start (n0 = 1075) fails in the head, keeping what is below
+    for read in (seq.a_values, seq.b_values):
+        with pytest.raises(DegenerateParameterError, match="at n=2"):
+            read(16384)
+    assert seq.a_values(2) == fresh.a_values(2)
+    assert seq.b_values(1) == fresh.b_values(1)
 
 
 @pytest.mark.parametrize(
@@ -330,11 +436,16 @@ def test_q_family_evaluates_each_monic_pair_once(monkeypatch, name, params):
 
     monkeypatch.setattr(recurrence, "_monic_pairs", counted)
     # a_0..a_63 and b_0..b_63 need (A_n, C_n) for n <= 64; b_0..b_64 for n <= 65;
-    # the divergent state b_0..b_62 for n <= 63
+    # the divergent state b_0..b_62 for n <= 63; at 16384 only pairs up to
+    # n0 + 1 are evaluated, n0 the first n with q**n == 0.0 (775 for golden)
+    tail = _first_zero_power(make_sequence(name, params).params.get("q", GOLDEN_Q)) + 2
+    assert tail < 1100
     for run, pairs in (
         (lambda seq: verify_algebra(seq, 64), 65),
         (lambda seq: classify(seq, 64), 66),
         (lambda seq: make_state(seq, 0.5, 64), 64),
+        (lambda seq: verify_algebra(seq, 16384), tail),
+        (lambda seq: classify(seq, 16384), tail),
     ):
         indices.clear()
         seq = make_sequence(name, params)
@@ -363,6 +474,12 @@ def test_read_surfaces_the_lowest_failing_index():
             seq.b(5)
     with pytest.raises(NonPositiveDefiniteError, match=r"A_0\*C_1 "):
         seq.b_values(6)
+    # the failure at n = 0 wins over the copied tail, which starts at n = 535
+    for _ in range(2):
+        with pytest.raises(NonPositiveDefiniteError, match=r"A_0\*C_1 "):
+            seq.b(16383)
+        with pytest.raises(NonPositiveDefiniteError, match=r"A_0\*C_1 "):
+            seq.b_values(16384)
 
 
 def test_lowest_failing_index_wins_across_a_value_and_a_pair_error():
