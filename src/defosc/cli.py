@@ -282,13 +282,16 @@ def _verify(eff):
     if eff["dump_operators"] and eff["format"] == "json":
         ops = oscillator.build_operators(seq, eff["dim"])
         payload["operators"] = {
-            "x": oscillator.matrix_to_json(ops.x),
-            "p": oscillator.matrix_to_json(ops.p),
-            "a_plus": oscillator.matrix_to_json(ops.a_plus),
-            "a_minus": oscillator.matrix_to_json(ops.a_minus),
-            "n": oscillator.matrix_to_json(ops.n_op),
-            "b": oscillator.matrix_to_json(ops.b_op),
-            "h": oscillator.matrix_to_json(ops.hamiltonian),
+            key: oscillator.matrix_to_json(m, kind)
+            for key, kind, m in (
+                ("x", "X", ops.x),
+                ("p", "P", ops.p),
+                ("a_plus", "a+", ops.a_plus),
+                ("a_minus", "a-", ops.a_minus),
+                ("n", "N", ops.n_op),
+                ("b", "B", ops.b_op),
+                ("h", "H", ops.hamiltonian),
+            )
         }
     rows = [{"relation": r["name"], **r} for r in payload["relations"]]
     return (0 if report.passed else 3), payload, rows

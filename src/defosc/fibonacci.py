@@ -18,8 +18,9 @@ calibration (alpha^2 < 0), so the Berg table uses the classical moments only.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -62,6 +63,7 @@ __all__ = [
 THETA0 = math.asinh(0.5)
 
 
+@functools.total_ordering
 class GoldenNumber:
     """Exact element r + s*sqrt(5) of the quadratic field Q(sqrt 5)."""
 
@@ -137,7 +139,10 @@ class GoldenNumber:
         return GoldenNumber(self.r, -self.s)
 
     def __gt__(self, other):
-        d = self - other
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        d = self - o
         # whichever of |r| and |s| sqrt5 is larger carries the sign of r + s sqrt5
         return d.r > 0 if d.r * d.r > 5 * d.s * d.s else d.s > 0
 
@@ -160,7 +165,8 @@ class GoldenNumber:
         return NotImplemented if o is None else (self.r == o.r and self.s == o.s)
 
     def __hash__(self):
-        return hash((self.r, self.s))
+        # an element with s == 0 equals its Fraction r, so it hashes as r
+        return hash((self.r, self.s)) if self.s else hash(self.r)
 
     def __float__(self) -> float:
         # (a + b sqrt5) / d over one denominator d.  Unless a = b = 0, a^2 - 5 b^2
@@ -628,16 +634,7 @@ class BergReport:
         return self.diagonal_positive and self.max_off_diagonal < tol
 
     def to_dict(self) -> dict:
-        return {
-            "convention": "classical",
-            "n_max": self.n_max,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "normalized_off_diagonal": [list(r) for r in self.normalized_off_diagonal],
-            "diagonal": list(self.diagonal),
-            "max_off_diagonal": self.max_off_diagonal,
-            "diagonal_positive": self.diagonal_positive,
-        }
+        return {"convention": "classical", **asdict(self)}
 
 
 def berg_orthogonality(n_max: int = 6) -> BergReport:

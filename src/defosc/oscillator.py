@@ -21,7 +21,7 @@ last two rows and columns, where a finite section cannot close the algebra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,19 +57,12 @@ class BandMatrix:
     single flag bit is enough to keep all arithmetic real.
     """
 
-    __slots__ = ("dim", "bands", "kind", "imaginary")
+    __slots__ = ("dim", "bands", "imaginary")
 
-    def __init__(
-        self,
-        dim: int,
-        bands: dict[int, np.ndarray],
-        kind: str = "generic",
-        imaginary: bool = False,
-    ):
+    def __init__(self, dim: int, bands: dict[int, np.ndarray], *, imaginary: bool = False):
         if dim < 1:
             raise DimensionError(f"dim must be >= 1, got {dim}")
         self.dim = dim
-        self.kind = kind
         self.imaginary = bool(imaginary)
         self.bands: dict[int, np.ndarray] = {}
         for o, vals in bands.items():
@@ -90,21 +83,12 @@ class BandMatrix:
             return self.bands[o].copy()
         return np.zeros(self.dim - abs(o))
 
-    @property
-    def diag(self) -> np.ndarray:
-        return self.band(0)
-
-    @property
-    def super(self) -> np.ndarray:
-        return self.band(1)
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex if self.imaginary else float)
         unit = 1j if self.imaginary else 1.0
         for o, vals in self.bands.items():
-            i0, j0 = (0, o) if o >= 0 else (-o, 0)
-            for k, v in enumerate(vals):
-                out[i0 + k, j0 + k] = unit * v
+            k = np.arange(len(vals))
+            out[k + max(0, -o), k + max(0, o)] = unit * vals
         return out
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -129,13 +113,10 @@ class BandMatrix:
             raise DimensionError(f"dim mismatch: {self.dim} vs {other.dim}")
         if self.imaginary != other.imaginary:
             raise ValueError("cannot add a real-valued and an i-valued BandMatrix")
-        out: dict[int, np.ndarray] = {o: v.copy() for o, v in self.bands.items()}
+        out = dict(self.bands)  # the constructor copies every band
         for o, v in other.bands.items():
-            if o in out:
-                out[o] = out[o] + sign * v
-            else:
-                out[o] = sign * v
-        return BandMatrix(self.dim, out, "generic", self.imaginary)
+            out[o] = out[o] + sign * v if o in out else sign * v
+        return BandMatrix(self.dim, out, imaginary=self.imaginary)
 
     def __add__(self, other: "BandMatrix") -> "BandMatrix":
         return self._combine(other, 1.0)
@@ -145,16 +126,10 @@ class BandMatrix:
 
     def __mul__(self, scalar: float) -> "BandMatrix":
         return BandMatrix(
-            self.dim,
-            {o: scalar * v for o, v in self.bands.items()},
-            self.kind,
-            self.imaginary,
+            self.dim, {o: scalar * v for o, v in self.bands.items()}, imaginary=self.imaginary
         )
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "BandMatrix":
-        return self * -1.0
 
     def __matmul__(self, other: "BandMatrix") -> "BandMatrix":
         if not isinstance(other, BandMatrix):
@@ -179,7 +154,7 @@ class BandMatrix:
         # (iA)(iB) = -(AB): both flags set cancels the i and flips the sign
         if self.imaginary and other.imaginary:
             out = {o: -v for o, v in out.items()}
-        return BandMatrix(dim, out, "generic", self.imaginary ^ other.imaginary)
+        return BandMatrix(dim, out, imaginary=self.imaginary ^ other.imaginary)
 
     # -- residual norms ------------------------------------------------------
 
@@ -197,8 +172,7 @@ class BandMatrix:
         return _peak([np.max(np.abs(p)) for p in parts if p.size])
 
     def __repr__(self) -> str:
-        pre = "i*" if self.imaginary else ""
-        return f"BandMatrix({pre}{self.kind}, dim={self.dim}, offsets={sorted(self.bands)})"
+        return f"BandMatrix(dim={self.dim}, offsets={sorted(self.bands)}, imaginary={self.imaginary})"
 
 
 @dataclass(frozen=True)
@@ -227,14 +201,13 @@ def build_operators(seq: CoefficientSequence, dim: int) -> Operators:
     s_vals = np.sqrt(2.0) * b_vals
     b_shift = np.concatenate(([0.0], 0.5 * s_vals * s_vals))  # b(-1) = 0
 
-    x = BandMatrix(dim, {0: a_vals, 1: b_vals, -1: b_vals}, "X")
-    p = BandMatrix(dim, {1: b_vals, -1: -b_vals}, "P", imaginary=True)
-    a_plus = BandMatrix(dim, {-1: s_vals}, "a+")
-    a_minus = BandMatrix(dim, {1: s_vals}, "a-")
-    n_op = BandMatrix(dim, {0: np.arange(dim, dtype=float)}, "N")
-    b_op = BandMatrix(dim, {0: b_shift}, "B")
+    x = BandMatrix(dim, {0: a_vals, 1: b_vals, -1: b_vals})
+    p = BandMatrix(dim, {1: b_vals, -1: -b_vals}, imaginary=True)
+    a_plus = BandMatrix(dim, {-1: s_vals})
+    a_minus = BandMatrix(dim, {1: s_vals})
+    n_op = BandMatrix(dim, {0: np.arange(dim, dtype=float)})
+    b_op = BandMatrix(dim, {0: b_shift})
     h = a_plus @ a_minus + a_minus @ a_plus
-    h.kind = "H"
     return Operators(dim, x, p, a_plus, a_minus, n_op, b_op, h)
 
 
@@ -249,14 +222,6 @@ class RelationCheck:
     interior_residual: float
     boundary_residual: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "interior_residual": self.interior_residual,
-            "boundary_residual": self.boundary_residual,
-            "passed": self.passed,
-        }
 
 
 @dataclass(frozen=True)
@@ -274,19 +239,14 @@ class AlgebraReport:
         return all(r.passed for r in self.relations)
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family_id,
-            "dim": self.dim,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "relations": [r.to_dict() for r in self.relations],
-            "xp_identity_gap": self.xp_identity_gap,
-        }
+        d = asdict(self)
+        d["family"] = d.pop("family_id")
+        return {**d, "passed": self.passed}
 
 
 def _number_commutator(m: BandMatrix) -> BandMatrix:
     """[N, M] entrywise: entry (i, j) is (i - j) M_ij, i.e. -o M_o on band o = j - i."""
-    return BandMatrix(m.dim, {o: -o * v for o, v in m.bands.items()}, "generic", m.imaginary)
+    return BandMatrix(m.dim, {o: -o * v for o, v in m.bands.items()}, imaginary=m.imaginary)
 
 
 def _check(name: str, tol: float, *residuals: BandMatrix) -> RelationCheck:
@@ -325,8 +285,8 @@ def verify_algebra(seq: CoefficientSequence, dim: int, tol: float = 1e-10) -> Al
     s_vals = np.sqrt(2.0) * np.array(seq.b_values(dim))
     s_sq = s_vals * s_vals
     # B(N + I) has eigenvalue b_n^2 on psi_n
-    b_next = BandMatrix(dim, {0: 0.5 * s_sq}, "B+")
-    lam_op = BandMatrix(dim, {0: np.concatenate(([0.0], s_sq[:-1])) + s_sq}, "lambda")
+    b_next = BandMatrix(dim, {0: 0.5 * s_sq})
+    lam_op = BandMatrix(dim, {0: np.concatenate(([0.0], s_sq[:-1])) + s_sq})
 
     up = ops.a_plus @ ops.a_minus
     casimir = 2.0 * ops.b_op - up
@@ -349,11 +309,11 @@ def verify_algebra(seq: CoefficientSequence, dim: int, tol: float = 1e-10) -> Al
 _DENSE_LIMIT = 64
 
 
-def matrix_to_json(m: BandMatrix) -> dict:
-    """Banded JSON form; a dense mirror is included up to 64x64."""
+def matrix_to_json(m: BandMatrix, kind: str) -> dict:
+    """Banded JSON form under the operator label `kind`; a dense mirror is included up to 64x64."""
     out = {
         "dim": m.dim,
-        "kind": m.kind,
+        "kind": kind,
         "imaginary": m.imaginary,
         "bands": {str(o): [float(v) for v in vals] for o, vals in sorted(m.bands.items())},
     }

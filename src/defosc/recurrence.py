@@ -161,13 +161,19 @@ class CoefficientSequence:
 
     def a_values(self, count: int) -> list[float]:
         """[a_0, ..., a_{count-1}], evaluated through a(count - 1)."""
-        self.a(count - 1)
-        return self._a_vals[:count]
+        return self._values(self.a, self._a_vals, count)
 
     def b_values(self, count: int) -> list[float]:
         """[b_0, ..., b_{count-1}], evaluated through b(count - 1)."""
-        self.b(count - 1)
-        return self._b_vals[:count]
+        return self._values(self.b, self._b_vals, count)
+
+    @staticmethod
+    def _values(read: Callable[[int], float], vals: list[float], count: int) -> list[float]:
+        if count < 0:
+            raise ParameterDomainError(f"count must be >= 0, got {count}")
+        if count:
+            read(count - 1)
+        return vals[:count]
 
     def b_squared(self, n: int) -> float:
         bn = self.b(n)
@@ -308,24 +314,35 @@ def _laguerre(alpha: float = 0.0) -> CoefficientSequence:
     return CoefficientSequence("laguerre", {"alpha": alpha}, a_fn, b_fn, radius_sq=math.inf)
 
 
+def _first_zero_power(q: float) -> int:
+    """The least n with q**n == 0.0, for 0 < |q| < 1: doubling, then bisection."""
+    hi = 1
+    while q**hi != 0.0:
+        hi *= 2
+    lo = hi // 2 + 1  # q**(hi // 2) != 0.0, and |q|^n falls with n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if q**mid == 0.0 else (mid + 1, hi)
+    return lo
+
+
 def _little_q_jacobi_seq(
     p: QParams, family_id: str, params: dict, scale: float = 1.0
 ) -> CoefficientSequence:
     A: list[float] = []  # monic-form (A_n, C_n), each index evaluated once, in order
     C: list[float] = []
-    q = p.q
-    # n0 + 2, once a read reaches n0, the least n with q**n == 0.0.  From n0 on,
-    # every power of q the pairs take is a signed zero of the parity of n and
-    # every 1 - (...) q^k factor is 1.0, so pair n, a_n and b_n equal their
-    # values at n0 + (n - n0) % 2 bit for bit, and the checks that passed there
-    # pass at every later n: only pairs 0 .. n0 + 1 are evaluated.
-    tail: int | None = None
+    # n0 + 2 for n0 the least n with q**n == 0.0.  From n0 on, every power of q
+    # the pairs take is a signed zero of the parity of n and every 1 - (...) q^k
+    # factor is 1.0, so pair n, a_n and b_n equal their values at
+    # n0 + (n - n0) % 2 bit for bit, and the checks that passed there pass at
+    # every later n: only pairs 0 .. n0 + 1 are evaluated.
+    tail = _first_zero_power(p.q) + 2
 
     def pairs(ns: range) -> Iterator[tuple[float, float]]:
         # needs ns.start <= len(A) and ns.stop <= tail + 1, which hold for every
         # head read: a stored a_n below the tail implies pair n was stored, a
         # stored b_n pair n + 1, and b_{n0+1} takes pair n0 + 2 = pair n0
-        stop = ns.stop if tail is None else min(ns.stop, tail)
+        stop = min(ns.stop, tail)
         yield from zip(A[ns.start : stop], C[ns.start : stop])
         for A_n, C_n in _monic_pairs(p, range(len(A), stop)):
             A.append(A_n)
@@ -338,14 +355,7 @@ def _little_q_jacobi_seq(
         # head evaluates the indices below the tail; the rest repeat head's
         # values at n0 and n0 + 1, chained lazily once head is exhausted
         def fill(ns: range) -> Iterable[float]:
-            nonlocal tail
-            if tail is None and q ** (ns.stop - 1) == 0.0:
-                lo, hi = 0, ns.stop - 1  # bisect for n0: |q|^n falls with n
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    lo, hi = (lo, mid) if q**mid == 0.0 else (mid + 1, hi)
-                tail = lo + 2
-            if tail is None or ns.stop <= tail:
+            if ns.stop <= tail:
                 return head(ns)
 
             def parts() -> Iterator[Iterable[float]]:

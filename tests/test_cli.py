@@ -87,6 +87,9 @@ def test_verify_dump_operators(capsys):
     assert set(ops) == {"x", "p", "a_plus", "a_minus", "n", "b", "h"}
     assert ops["x"]["dim"] == 8
     assert len(ops["x"]["dense"]) == 8
+    kinds = {"x": "X", "p": "P", "a_plus": "a+", "a_minus": "a-", "n": "N", "b": "B", "h": "H"}
+    assert {key: op["kind"] for key, op in ops.items()} == kinds
+    assert [key for key, op in ops.items() if op["imaginary"]] == ["p"]
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -221,6 +221,13 @@ def test_golden_number_negative_powers():
 )
 def test_golden_number_sign_is_exact(value, positive):
     assert (value > 0) is positive
+    # <, <= and >= are derived from the same exact sign
+    non_negative = positive or value == 0
+    assert (value >= 0) is non_negative
+    assert (value < 0) is not non_negative
+    assert (value <= 0) is not positive
+    assert (0 < value) is positive
+    assert (0 >= value) is not positive
 
 
 def test_golden_number_sqrt():
@@ -277,6 +284,18 @@ def test_golden_number_hash_and_float_coercion():
     assert len({PHI, GoldenNumber(Fraction(1, 2), Fraction(1, 2)), GoldenNumber(1)}) == 2
     assert GoldenNumber(7) == 7
     assert PHI.__eq__(0.5) is NotImplemented
+    # equal elements hash equal across int, Fraction and GoldenNumber
+    assert hash(GoldenNumber(1)) == hash(1)
+    assert 1 in {GoldenNumber(1)}
+    assert GoldenNumber(Fraction(1, 2)) in {Fraction(1, 2)}
+    assert len({GoldenNumber(7), 7, Fraction(14, 2)}) == 1
+    # ordering against int and Fraction is exact; floats are not compared
+    assert PHI < 2 and PHI <= 2 and PHI >= 1 and 2 > PHI and Fraction(3, 2) < PHI
+    assert not (PHI < 1) and GoldenNumber(2) <= 2 and GoldenNumber(2) >= 2
+    for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+        assert getattr(PHI, op)(1.5) is NotImplemented
+    with pytest.raises(TypeError):
+        PHI < 1.5
 
 
 # -- Filbert matrix --

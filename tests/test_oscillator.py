@@ -47,7 +47,7 @@ def _random_band(rng, dim, imaginary=False, integers=True):
             bands[o] = rng.integers(-5, 6, size=dim - abs(o)).astype(float)
         else:
             bands[o] = rng.standard_normal(dim - abs(o))
-    return BandMatrix(dim, bands, "generic", imaginary)
+    return BandMatrix(dim, bands, imaginary=imaginary)
 
 
 # -- BandMatrix construction --
@@ -59,13 +59,17 @@ def test_constructor_validation():
         BandMatrix(4, {1: np.zeros(2)})
     with pytest.raises(DimensionError):
         BandMatrix(3, {3: np.zeros(0)})
+    # imaginary is keyword-only: a positional operator label used to set the i flag
+    with pytest.raises(TypeError):
+        BandMatrix(4, {0: np.ones(4)}, "X")
+    assert BandMatrix(4, {0: np.ones(4)}, imaginary=True).imaginary is True
 
 
 def test_zero_bands_are_dropped():
     m = BandMatrix(4, {1: np.zeros(3), 0: np.array([1.0, 0.0, 0.0, 2.0])})
     assert set(m.bands) == {0}
     assert m.band(1).tolist() == [0.0, 0.0, 0.0]
-    assert m.super.tolist() == [0.0, 0.0, 0.0]
+    assert m.to_dense()[[0, 1, 2], [1, 2, 3]].tolist() == [0.0, 0.0, 0.0]
     empty = BandMatrix(4, {})
     assert empty.max_abs() == 0.0
     assert empty.edge_max_abs() == 0.0
@@ -73,7 +77,7 @@ def test_zero_bands_are_dropped():
 
 def test_band_accessor_returns_copies():
     m = BandMatrix(3, {0: np.ones(3)})
-    m.diag[0] = 99.0
+    m.band(0)[0] = 99.0
     assert m.band(0).tolist() == [1.0, 1.0, 1.0]
 
 
@@ -118,7 +122,7 @@ def test_add_sub_scalar_match_dense():
     assert np.array_equal((a + b).to_dense(), a.to_dense() + b.to_dense())
     assert np.array_equal((a - b).to_dense(), a.to_dense() - b.to_dense())
     assert np.array_equal((2.0 * a).to_dense(), 2.0 * a.to_dense())
-    assert np.array_equal((-a).to_dense(), -a.to_dense())
+    assert np.array_equal((-1.0 * a).to_dense(), -a.to_dense())
     assert np.array_equal((2.0 * a).to_dense(), (a + a).to_dense())
 
 
@@ -178,12 +182,12 @@ def test_commutator_of_matrix_with_itself_vanishes():
 
 def test_harmonic_operator_entries():
     ops = build_operators(make_sequence("harmonic"), 6)
-    assert ops.n_op.diag.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
-    assert ops.b_op.diag == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0, 2.5], rel=1e-14)
+    assert ops.n_op.band(0).tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    assert ops.b_op.band(0) == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0, 2.5], rel=1e-14)
     # H psi_n = (2n + 1) psi_n away from the truncation edge
-    assert ops.hamiltonian.diag[:5] == pytest.approx([1, 3, 5, 7, 9], rel=1e-14)
-    assert ops.x.diag.tolist() == [0.0] * 6
-    assert ops.x.super == pytest.approx(np.sqrt(np.arange(1, 6) / 2.0), rel=1e-15)
+    assert ops.hamiltonian.band(0)[:5] == pytest.approx([1, 3, 5, 7, 9], rel=1e-14)
+    assert ops.x.band(0).tolist() == [0.0] * 6
+    assert ops.x.band(1) == pytest.approx(np.sqrt(np.arange(1, 6) / 2.0), rel=1e-15)
 
 
 def test_ladder_operators_are_transposes():
@@ -305,6 +309,17 @@ def test_verify_report_dict():
     assert d["passed"] is True
     assert len(d["relations"]) == len(RELATION_NAMES)
     assert all(set(r) == {"name", "interior_residual", "boundary_residual", "passed"} for r in d["relations"])
+    assert set(d) == {"family", "dim", "tolerance", "passed", "relations", "xp_identity_gap"}
+    assert d["tolerance"] == 1e-10
+    assert d["xp_identity_gap"] == report.xp_identity_gap
+    for r, check in zip(d["relations"], report.relations, strict=True):
+        assert type(r) is dict
+        assert r == {
+            "name": check.name,
+            "interior_residual": check.interior_residual,
+            "boundary_residual": check.boundary_residual,
+            "passed": check.passed,
+        }
 
 
 def test_verify_rejects_small_dim():
@@ -350,8 +365,9 @@ def test_algebra_is_gauge_invariant():
 
 def test_matrix_to_json_includes_dense_mirror():
     ops = build_operators(make_sequence("harmonic"), 5)
-    payload = matrix_to_json(ops.x)
+    payload = matrix_to_json(ops.x, "X")
     assert payload["dim"] == 5
+    assert payload["kind"] == "X"
     assert payload["imaginary"] is False
     assert set(payload["bands"]) == {"-1", "1"}
     dense = np.array(payload["dense"])

@@ -250,6 +250,19 @@ def test_negative_indices_rejected():
         seq.a(-1)
 
 
+@pytest.mark.parametrize(
+    "name,params", [("harmonic", {}), ("little-q-jacobi", {"a": 0.5, "b": 0.5, "q": 0.5})]
+)
+def test_vector_reads_of_count_zero_and_below(name, params):
+    # a_values(0) used to read a(-1), and b_values(-3) blamed b(-4)
+    seq = make_sequence(name, params)
+    for read in (seq.a_values, seq.b_values):
+        assert read(0) == []
+        for count in (-1, -3):
+            with pytest.raises(ParameterDomainError, match=rf"^count must be >= 0, got {count}$"):
+                read(count)
+
+
 def test_b_squared_is_exact_square():
     for name in ("harmonic", "laguerre", "fibonacci-golden"):
         seq = make_sequence(name)
@@ -393,6 +406,16 @@ def test_q_family_tail_matches_a_reference_bit_for_bit(key, tail_references):
         for stop in stops:
             seq.b(stop - 1)
         assert _hex(seq.b_values(_TAIL_COUNT)) == _hex(want_b), order
+
+
+@pytest.mark.parametrize(
+    "q,n0",
+    [(GOLDEN_Q, 775), (0.5, 1075), (-0.5, 1075), (0.35, 710), (0.6, 1459), (1e-200, 2), (0.999, 744761)],
+)
+def test_first_zero_power(q, n0):
+    # the tail start is found once, at construction, by doubling and bisection
+    assert q**n0 == 0.0 != q ** (n0 - 1)
+    assert recurrence._first_zero_power(q) == n0
 
 
 def test_block_fill_keeps_the_values_below_a_failing_index():
