@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_B_MAX = sys.float_info.max / _SQRT2  # the largest b with sqrt(2) b finite
 _NORMALIZATION_TOL = 1e-12
 _NORMALIZATION_MAX_TERMS = 10000
 
@@ -92,6 +93,20 @@ class CoherentState:
     convergent: bool
 
 
+def _check_level(k: int, b_k: float) -> None:
+    """Raise for a b_k from which no level above k can be built."""
+    if b_k == 0.0:
+        raise ZeroCoefficientError(
+            f"b_{k} = 0 in double precision (a true zero or an underflow): "
+            f"levels above {k} are unreachable"
+        )
+    if not 0.0 < b_k <= _B_MAX:
+        raise ParameterDomainError(
+            f"b_{k} = {b_k!r} is outside the canonical gauge b_n >= 0 "
+            "with sqrt(2) b_n finite"
+        )
+
+
 def make_state(
     seq: CoefficientSequence,
     z: complex,
@@ -106,9 +121,13 @@ def make_state(
     dimension, None if the edge bound gives no finite one (unless strict=False,
     which returns the state flagged instead).  In the divergent regime no
     truncation error is possible: every finite section is exact.  Reads
-    b_0..b_{dim-2} in doubling windows, stopping at the first window that
-    holds a zero b_k, and b_{dim-1} only when convergent.  The first zero b_k
-    raises ZeroCoefficientError even where a higher index in its window fails.
+    b_0..b_{dim-2} in doubling windows, scanning only each window's new levels
+    and stopping at the first that holds a bad b_k, and b_{dim-1} only when
+    convergent.  The first bad b_k raises even where a higher index in its
+    window fails: ZeroCoefficientError for 0.0, ParameterDomainError for a
+    negative, NaN or infinite b_k (or one whose sqrt(2) b_k overflows), since
+    the canonical gauge has b_n >= 0.  Levels whose amplitude underflows are
+    exact 0j: the phase is raised only over the window of nonzero amplitudes.
     """
     if dim < 2:
         raise DimensionError(f"dim must be >= 2, got {dim}")
@@ -127,39 +146,45 @@ def make_state(
         coeffs[0] = 1.0
         return CoherentState(z, dim, coeffs, 1.0, 0.0, 0.0, True)
 
-    # a q-family b_k can underflow to 0 a few hundred levels in, below the
-    # index where its fill stops evaluating and copies (golden: b_387 = 0,
-    # copies from 777); windows keep the levels evaluated past the zero to
-    # about as many again
+    # b_0 .. b_{dim-2} in doubling windows, each checked only on its new levels
+    # before the next is read.  A q-family b_k can underflow to 0 a few hundred
+    # levels in, below the index where its fill stops evaluating and copies
+    # (golden: b_387 = 0, copies from 777); windows keep the levels evaluated
+    # past the zero to about as many again.
+    b = np.empty(dim - 1)
     count = 0
     while count < dim - 1:
         start, count = count, min(dim - 1, 2 * count + 64)
         try:
-            b_vals = seq.b_values(count)
+            new = np.fromiter(seq.b_values(count)[start:], float, count - start)
+            good = new.min() > 0.0 and new.max() <= _B_MAX  # False on a NaN
         except DefoscError:
-            # a zero below the window's failing index ends the state first: the
-            # read kept the values below its failure, and reading that index again raises
-            k = next(k for k in range(start, count) if seq.b(k) == 0.0)
-            b_vals = seq.b_values(k + 1)
-        if 0.0 in b_vals:
-            k = b_vals.index(0.0)
-            raise ZeroCoefficientError(
-                f"b_{k} = 0 in double precision (a true zero or an underflow): "
-                f"levels above {k} are unreachable"
-            )
+            good = False
+        if not good:
+            # the first bad b_k in the window raises; a read that failed kept the
+            # values below its failing index, and reading that index again raises
+            for k in range(start, count):
+                _check_level(k, seq.b(k))
+        b[start:count] = new
 
-    # log |t_n| for unnormalized amplitudes t_n = |z|^n / prod_{k<n} sqrt2 b_k
+    # log |t_n| for unnormalized amplitudes t_n = |z|^n / prod_{k<n} sqrt2 b_k;
+    # cumsum adds the logs in index order
     logs = np.empty(dim)
     logs[0] = 0.0
-    log_r = math.log(abs(z))
-    acc = np.fromiter(accumulate(map(math.log, [_SQRT2 * b for b in b_vals])), float, dim - 1)
-    logs[1:] = np.arange(1, dim) * log_r - acc
+    logs[1:] = np.arange(1, dim) * math.log(abs(z)) - np.cumsum(np.log(_SQRT2 * b))
 
     shift = float(logs.max())
     scaled = np.exp(logs - shift)  # amplitude scale, max entry 1
     sum_sq = float(np.dot(scaled, scaled))
-    phase = z / abs(z)
-    coeffs = (scaled / math.sqrt(sum_sq)) * phase ** np.arange(dim)
+    amps = scaled / math.sqrt(sum_sq)
+    # the phase (z/|z|)^n is raised only on the window [lo, hi) from the first to
+    # the last amplitude that has not underflowed; levels outside it are exact 0j.
+    # Writing through out= keeps numpy from reusing a large temporary in place,
+    # whose loop gives an underflowed imaginary part another zero sign.
+    kept = np.flatnonzero(amps)
+    lo, hi = int(kept[0]), int(kept[-1]) + 1
+    coeffs = np.zeros(dim, dtype=complex)
+    np.multiply(amps[lo:hi], (z / abs(z)) ** np.arange(lo, hi), out=coeffs[lo:hi])
 
     log_norm = 2.0 * shift + math.log(sum_sq)
     try:
@@ -197,7 +222,7 @@ def eigen_residual(state: CoherentState, seq: CoefficientSequence) -> float:
     The last coordinate is excluded: the truncation cannot know c_dim.
     """
     v = state.coeffs
-    b_vals = np.array(seq.b_values(state.dim - 1))
+    b_vals = np.fromiter(seq.b_values(state.dim - 1), float, state.dim - 1)
     resid = _SQRT2 * b_vals * v[1:] - state.z * v[:-1]
     return float(np.linalg.norm(resid))
 
@@ -206,16 +231,16 @@ def uncertainty(
     state: CoherentState, seq: CoefficientSequence
 ) -> tuple[float, float, float]:
     """(dX, dP, bound) in the truncated representation, bound = |<[X,P]>|/2."""
-    ops = oscillator.build_operators(seq, state.dim)
+    x, p = oscillator.position_momentum(seq, state.dim)
     v = state.coeffs
-    xv = ops.x.matvec(v)
-    pv = ops.p.matvec(v)
+    xv = x.matvec(v)
+    pv = p.matvec(v)
     mean_x = float(np.vdot(v, xv).real)
     mean_p = float(np.vdot(v, pv).real)
     # centred form: <X^2> - <X>^2 cancels catastrophically when a_n >> b_n
     cx, cp = xv - mean_x * v, pv - mean_p * v
     d_x, d_p = math.sqrt(np.vdot(cx, cx).real), math.sqrt(np.vdot(cp, cp).real)
-    comm = np.vdot(v, ops.x.matvec(pv)) - np.vdot(v, ops.p.matvec(xv))
+    comm = np.vdot(v, x.matvec(pv)) - np.vdot(v, p.matvec(xv))
     bound = 0.5 * abs(comm)
     return d_x, d_p, float(bound)
 

@@ -34,6 +34,7 @@ __all__ = [
     "RelationCheck",
     "AlgebraReport",
     "build_operators",
+    "position_momentum",
     "commutator",
     "verify_algebra",
     "matrix_to_json",
@@ -189,20 +190,27 @@ class Operators:
     hamiltonian: BandMatrix
 
 
-def build_operators(seq: CoefficientSequence, dim: int) -> Operators:
-    """Assemble X, P, a+-, N, B(N) and H for `seq` truncated at `dim`."""
+def position_momentum(seq: CoefficientSequence, dim: int) -> tuple[BandMatrix, BandMatrix]:
+    """X and P of `seq` truncated at `dim`, without the operators built from them."""
     if dim < 2:
         raise DimensionError(f"dim must be >= 2, got {dim}")
-    b_vals = np.array(seq.b_values(dim - 1))
-    a_vals = np.array(seq.a_values(dim))
+    b_vals = np.fromiter(seq.b_values(dim - 1), float, dim - 1)
+    a_vals = np.fromiter(seq.a_values(dim), float, dim)
+    x = BandMatrix(dim, {0: a_vals, 1: b_vals, -1: b_vals})
+    p = BandMatrix(dim, {1: b_vals, -1: -b_vals}, imaginary=True)
+    return x, p
+
+
+def build_operators(seq: CoefficientSequence, dim: int) -> Operators:
+    """Assemble X, P, a+-, N, B(N) and H for `seq` truncated at `dim`."""
+    x, p = position_momentum(seq, dim)
+    b_vals = x.band(1)  # b_0 .. b_{dim-2}, a zero vector when X stores no band 1
     # B's eigenvalues are assembled from the same sqrt(2) b_n products that
     # fill the ladder operators, so 2B(N) - a+ a- cancels exactly in floating
     # point instead of leaving eps * b_n^2 noise that commutators amplify.
     s_vals = np.sqrt(2.0) * b_vals
     b_shift = np.concatenate(([0.0], 0.5 * s_vals * s_vals))  # b(-1) = 0
 
-    x = BandMatrix(dim, {0: a_vals, 1: b_vals, -1: b_vals})
-    p = BandMatrix(dim, {1: b_vals, -1: -b_vals}, imaginary=True)
     a_plus = BandMatrix(dim, {-1: s_vals})
     a_minus = BandMatrix(dim, {1: s_vals})
     n_op = BandMatrix(dim, {0: np.arange(dim, dtype=float)})
@@ -282,7 +290,7 @@ def verify_algebra(seq: CoefficientSequence, dim: int, tol: float = 1e-10) -> Al
     # The target diagonals reuse the same sqrt(2) b_n floats that fill the
     # ladder bands; otherwise the residuals carry eps * b_n^2 rounding noise,
     # which the casimir commutator inflates by another factor b_n.
-    s_vals = np.sqrt(2.0) * np.array(seq.b_values(dim))
+    s_vals = np.sqrt(2.0) * np.fromiter(seq.b_values(dim), float, dim)
     s_sq = s_vals * s_vals
     # B(N + I) has eigenvalue b_n^2 on psi_n
     b_next = BandMatrix(dim, {0: 0.5 * s_sq})

@@ -1,6 +1,7 @@
 """Tests for annihilation-operator eigenstates and their normalization."""
 
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -315,6 +316,23 @@ def test_underflowing_q_family_is_read_only_to_its_first_zero_coefficient(monkey
     assert 388 <= len(evaluated) < 1024
 
 
+_RAISE = object()
+
+
+def _b_with(levels, calls=None):
+    """b_n = 1 except where `levels` says; _RAISE fails the read of that index."""
+
+    def b_fn(n):
+        if calls is not None:
+            calls.append(n)
+        value = levels.get(n, 1.0)
+        if value is _RAISE:
+            raise NonPositiveDefiniteError(f"b_{n} undefined")
+        return value
+
+    return b_fn
+
+
 def test_true_zero_ends_the_state_before_a_later_failing_index():
     # b = q^-6 makes C_6 = 0, so b_5 = 0 exactly, and A_6 C_7 < 0 above it:
     # the window that reads both must still report the zero
@@ -323,6 +341,134 @@ def test_true_zero_ends_the_state_before_a_later_failing_index():
         make_state(seq, 0.5, 64)
     with pytest.raises(NonPositiveDefiniteError, match=r"A_6\*C_7"):
         seq.b(6)
+    # the same inside a later window (levels 64 .. 191), and a bad b_k first
+    for bad, error, match in (
+        (0.0, ZeroCoefficientError, "b_100 = 0"),
+        (-1.0, ParameterDomainError, "b_100 = -1.0"),
+    ):
+        seq = custom_sequence(_b_with({100: bad, 150: _RAISE}))
+        with pytest.raises(error, match=match):
+            make_state(seq, 0.5, 1024)
+        with pytest.raises(NonPositiveDefiniteError, match="b_150"):
+            seq.b(150)
+    # of two zeros in one window the first is named
+    with pytest.raises(ZeroCoefficientError, match="b_70 = 0"):
+        make_state(custom_sequence(_b_with({70: 0.0, 100: 0.0})), 0.5, 1024)
+    # a failing index with no bad level below it raises its own error
+    with pytest.raises(NonPositiveDefiniteError, match="b_150"):
+        make_state(custom_sequence(_b_with({150: _RAISE})), 0.5, 1024)
+
+
+@pytest.mark.parametrize("k, read", [(63, 64), (64, 192), (191, 192), (192, 448), (447, 448)])
+def test_zero_at_a_window_edge_ends_the_state_with_its_window(k, read):
+    # windows read levels [0, 64), [64, 192), [192, 448), ...; each is scanned
+    # on its new levels only, so a zero on either side of an edge must be seen
+    # in its own window and no later one may be read
+    calls = []
+    with pytest.raises(ZeroCoefficientError, match=f"b_{k} = 0"):
+        make_state(custom_sequence(_b_with({k: 0.0}, calls)), 0.5, 4096)
+    assert calls == list(range(read))
+
+
+@pytest.mark.parametrize("bad", [-0.5, -math.inf, math.nan, math.inf, 1.7e308])
+def test_make_state_rejects_a_coefficient_outside_the_canonical_gauge(bad):
+    # a negative b_k was a bare "math domain error", a NaN one an all-NaN state,
+    # an infinite one zeroed every level above k, and a b_k whose sqrt(2) b_k
+    # overflows did the same; a later zero does not hide the earlier bad level
+    seq = custom_sequence(_b_with({5: bad, 300: 0.0}))
+    for dim in (7, 1024):
+        with pytest.raises(ParameterDomainError, match=r"b_5 = .*canonical gauge b_n >= 0"):
+            make_state(seq, 0.5, dim)
+    # below the bad level the state is built
+    assert make_state(seq, 0.5, 6).dim == 6
+
+
+# -- bit pins against the per-index formulas --
+
+PIN_FAMILIES = {
+    "harmonic": {},
+    "chebyshev-t": {},
+    "chebyshev-u": {},
+    "laguerre": {"alpha": 0.5},
+    "little-q-jacobi": {"a": 0.3, "b": 0.6, "q": 0.99},
+    "fibonacci-golden": {},
+    "ismail-theta": {"theta": 0.7},
+}
+# the phase powers of 1j and -1 have a part at or near 0, whose sign the product
+# with an underflowing amplitude shows; |z| = 0.7 and 0.71 lie on either side of
+# the Chebyshev radius sqrt(1/2), and every |z| > 0 lies past the q-family radius 0
+PIN_ZS = (0.3, 1j, -1.0, -0.7 + 0.5j, 0.7, 0.71j, 2.5, 30.0, 1e-6)
+
+
+def _reference_state(seq, z, dim):
+    """The fields of make_state(seq, z, dim, strict=False) by per-index formulas.
+
+    Logs are taken one b_k at a time and summed by itertools.accumulate, and
+    the phase is raised over every level.  Returns (coeffs, norm_constant,
+    log_norm_constant, tail_bound, convergent, amplitudes |c_n|), or None where
+    a b_k is 0.0.
+    """
+    b_vals = seq.b_values(dim - 1)
+    if 0.0 in b_vals:
+        return None
+    z = complex(z)
+    args = [math.sqrt(2.0) * b for b in b_vals]
+    terms = [math.log(v) for v in args]
+    vector_terms = np.log(np.array(args)).tolist()
+    if vector_terms != terms:
+        # numpy's vector log may round a few inputs differently from libm's:
+        # bound it, and pin the rest of the pipeline on numpy's terms
+        assert np.allclose(vector_terms, terms, rtol=4 * np.finfo(float).eps, atol=0.0)
+        terms = vector_terms
+    logs = np.empty(dim)
+    logs[0] = 0.0
+    logs[1:] = np.arange(1, dim) * math.log(abs(z)) - np.fromiter(accumulate(terms), float, dim - 1)
+    shift = float(logs.max())
+    scaled = np.exp(logs - shift)
+    sum_sq = float(np.dot(scaled, scaled))
+    # a named operand: numpy would reuse a temporary of 16384 or more complex
+    # entries in place, whose loop signs underflowed imaginary parts differently
+    amps = scaled / math.sqrt(sum_sq)
+    phases = (z / abs(z)) ** np.arange(dim)
+    coeffs = amps * phases
+    log_norm = 2.0 * shift + math.log(sum_sq)
+    try:
+        norm = math.exp(log_norm)
+    except OverflowError:
+        norm = math.inf
+    r2 = abs(z) ** 2
+    convergent = r2 < seq.radius_sq
+    tail = math.inf
+    if convergent:
+        rho = r2 / (2.0 * seq.b_squared(dim - 1))
+        tail = 1.0
+        if rho < 1.0:
+            tail_scaled = float(scaled[dim - 1] ** 2) * rho / (1.0 - rho)
+            tail = tail_scaled / (sum_sq + tail_scaled)
+    return coeffs, norm, log_norm, tail, convergent, amps
+
+
+@pytest.mark.parametrize("name", sorted(PIN_FAMILIES))
+def test_state_matches_the_per_index_formulas_bit_for_bit(name):
+    seq = make_sequence(name, PIN_FAMILIES[name])
+    for dim in (2, 64, 101, 1024, 16384):
+        for z in PIN_ZS:
+            ref = _reference_state(seq, z, dim)
+            if ref is None:
+                with pytest.raises(ZeroCoefficientError):
+                    make_state(seq, z, dim, strict=False)
+                continue
+            want, norm, log_norm, tail, convergent, amps = ref
+            st = make_state(seq, z, dim, strict=False)
+            fields = (st.norm_constant, st.log_norm_constant, st.tail_bound, st.convergent)
+            assert fields == (norm, log_norm, tail, convergent), (dim, z)
+            nonzero = want != 0.0
+            assert np.array_equal(st.coeffs != 0.0, nonzero), (dim, z)
+            assert st.coeffs[nonzero].tobytes() == want[nonzero].tobytes(), (dim, z)
+            # outside the window of nonzero amplitudes every byte is 0: +0.0+0.0j
+            kept = np.flatnonzero(amps)
+            outside = np.concatenate((st.coeffs[: kept[0]], st.coeffs[kept[-1] + 1 :]))
+            assert not any(outside.tobytes()), (dim, z)
 
 
 # -- observables --
