@@ -72,7 +72,6 @@ _EXPORTS = {
         "THETA0",
         "fib",
         "fib_classical",
-        "gen_fib",
         "ismail_fib",
         "fib_via_chebyshev",
         "NuMomentResult",

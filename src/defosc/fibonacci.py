@@ -41,7 +41,6 @@ __all__ = [
     "fib",
     "fib_classical",
     "fib_iterative",
-    "gen_fib",
     "ismail_fib",
     "ismail_fib_values",
     "fib_via_chebyshev",
@@ -65,59 +64,83 @@ THETA0 = math.asinh(0.5)
 
 @functools.total_ordering
 class GoldenNumber:
-    """Exact element r + s*sqrt(5) of the quadratic field Q(sqrt 5)."""
+    """Exact element r + s*sqrt(5) of the quadratic field Q(sqrt 5).
 
-    __slots__ = ("r", "s")
+    Stored as one reduced integer triple (a, b, d) for (a + b sqrt5)/d, with
+    d > 0 and gcd(a, b, d) = 1, so each element has exactly one triple and
+    equality compares triples.  r = a/d and s = b/d are read as Fractions.
+    Each +, -, * and inverse forms its triple from a few integer products
+    and reduces it by one math.gcd(a, b, d), where Fraction arithmetic on r
+    and s would normalise each of them apart.
+    """
+
+    __slots__ = ("_abd",)
 
     def __init__(self, r, s=0):
-        object.__setattr__(self, "r", r if isinstance(r, Fraction) else Fraction(r))
-        object.__setattr__(self, "s", s if isinstance(s, Fraction) else Fraction(s))
+        r, s = Fraction(r), Fraction(s)
+        # r and s are in lowest terms, so over the lcm of their denominators
+        # the triple is already reduced
+        d = math.lcm(r.denominator, s.denominator)
+        triple = (r.numerator * (d // r.denominator), s.numerator * (d // s.denominator), d)
+        object.__setattr__(self, "_abd", triple)
 
     def __setattr__(self, name, value):
         raise AttributeError("GoldenNumber is immutable")
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, GoldenNumber):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GoldenNumber(other)
-        return None
+    @property
+    def r(self) -> Fraction:
+        a, _, d = self._abd
+        return Fraction(a, d)
+
+    @property
+    def s(self) -> Fraction:
+        _, b, d = self._abd
+        return Fraction(b, d)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else GoldenNumber(self.r + o.r, self.s + o.s)
+        o = _triple(other)
+        if o is None:
+            return NotImplemented
+        (a, b, d), (c, e, f) = self._abd, o
+        return _golden(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GoldenNumber(-self.r, -self.s)
+        a, b, d = self._abd
+        return _golden(-a, -b, d)
 
     def __sub__(self, other):
-        return self + -other
+        o = _triple(other)
+        if o is None:
+            return NotImplemented
+        (a, b, d), (c, e, f) = self._abd, o
+        return _golden(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return GoldenNumber(self.r * o.r + 5 * self.s * o.s, self.r * o.s + self.s * o.r)
+        (a, b, d), (c, e, f) = self._abd, o
+        return _golden(a * c + 5 * b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GoldenNumber":
-        # (r + s sqrt5)(r - s sqrt5) = r^2 - 5 s^2, never 0 for r, s rational
-        # unless both vanish (sqrt 5 is irrational)
-        den = self.r * self.r - 5 * self.s * self.s
-        if den == 0:
+        # d / (a + b sqrt5) = d (a - b sqrt5) / (a^2 - 5 b^2), and the norm
+        # a^2 - 5 b^2 is 0 only at a = b = 0 (sqrt 5 is irrational)
+        a, b, d = self._abd
+        norm = a * a - 5 * b * b
+        if norm == 0:
             raise ZeroDivisionError("division by zero GoldenNumber")
-        return GoldenNumber(self.r / den, -self.s / den)
+        return _golden(d * a, -d * b, norm)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self * o.inverse()
+        o = _triple(other)
+        return NotImplemented if o is None else self * _golden(*o).inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -136,15 +159,18 @@ class GoldenNumber:
         return out
 
     def conjugate(self) -> "GoldenNumber":
-        return GoldenNumber(self.r, -self.s)
+        a, b, d = self._abd
+        return _golden(a, -b, d)
 
     def __gt__(self, other):
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        d = self - o
-        # whichever of |r| and |s| sqrt5 is larger carries the sign of r + s sqrt5
-        return d.r > 0 if d.r * d.r > 5 * d.s * d.s else d.s > 0
+        (a, b, d), (c, e, f) = self._abd, o
+        # d, f > 0, so self - other has the sign of x + y sqrt5, and whichever
+        # of |x| and |y| sqrt5 is larger carries that sign
+        x, y = a * f - c * d, b * f - e * d
+        return x > 0 if x * x > 5 * y * y else y > 0
 
     def sqrt(self) -> "GoldenNumber":
         """The root y >= 0 with y * y == self; ValueError if none lies in Q(sqrt 5).
@@ -152,36 +178,58 @@ class GoldenNumber:
         y = u + v sqrt5 squares to (u^2 + 5 v^2) + 2uv sqrt5, so u^2 + 5 v^2 = r
         and u^2 - 5 v^2 = +-sqrt(r^2 - 5 s^2) fix u^2 and v^2; uv has the sign of s.
         """
-        norm_root = _rational_sqrt(self.r * self.r - 5 * self.s * self.s)
+        r, s = self.r, self.s
+        norm_root = _rational_sqrt(r * r - 5 * s * s)
         for n in () if norm_root is None else (norm_root, -norm_root):
-            u, v = _rational_sqrt((self.r + n) / 2), _rational_sqrt((self.r - n) / 10)
+            u, v = _rational_sqrt((r + n) / 2), _rational_sqrt((r - n) / 10)
             if u is not None and v is not None:
-                y = GoldenNumber(u, v if self.s >= 0 else -v)
+                y = GoldenNumber(u, v if s >= 0 else -v)
                 return -y if -y > 0 else y
         raise ValueError(f"{self!r} has no square root in Q(sqrt 5)")
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else (self.r == o.r and self.s == o.s)
+        o = _triple(other)
+        return NotImplemented if o is None else self._abd == o
 
     def __hash__(self):
         # an element with s == 0 equals its Fraction r, so it hashes as r
-        return hash((self.r, self.s)) if self.s else hash(self.r)
+        return hash((self.r, self.s)) if self._abd[1] else hash(self.r)
 
     def __float__(self) -> float:
-        # (a + b sqrt5) / d over one denominator d.  Unless a = b = 0, a^2 - 5 b^2
-        # is a nonzero integer, so |a + b sqrt5| > 1 / (|a| + 3|b|).  With k 64
-        # bits past that bound, the integer part of b sqrt5 2^k leaves the
-        # scaled numerator within 2^-64 of itself, and the division rounds once
-        d = math.lcm(self.r.denominator, self.s.denominator)
-        a = self.r.numerator * (d // self.r.denominator)
-        b = self.s.numerator * (d // self.s.denominator)
+        # Unless a = b = 0, a^2 - 5 b^2 is a nonzero integer, so
+        # |a + b sqrt5| > 1 / (|a| + 3|b|).  With k 64 bits past that bound,
+        # the integer part of b sqrt5 2^k leaves the scaled numerator within
+        # 2^-64 of itself, and the division by d rounds once
+        a, b, d = self._abd
         k = 64 + (abs(a) + 3 * abs(b)).bit_length()
         root = math.isqrt(5 * b * b << 2 * k)
         return ((a << k) + (root if b >= 0 else -root)) / (d << k)
 
     def __repr__(self) -> str:
         return f"GoldenNumber({self.r!r}, {self.s!r})"
+
+
+def _golden(a: int, b: int, d: int) -> GoldenNumber:
+    """The GoldenNumber (a + b sqrt5)/d of integers with d != 0, its triple reduced."""
+    g = math.gcd(a, b, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    x = object.__new__(GoldenNumber)
+    object.__setattr__(x, "_abd", (a, b, d))
+    return x
+
+
+def _triple(x) -> tuple[int, int, int] | None:
+    """The reduced triple of a GoldenNumber, int or Fraction; None for other types."""
+    if isinstance(x, GoldenNumber):
+        return x._abd
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    return None
 
 
 def _rational_sqrt(x: Fraction) -> Fraction | None:
@@ -214,18 +262,35 @@ def _fib_pair(k: int) -> tuple[int, int]:
     return c, d
 
 
+def _fib_at(k: int) -> int:
+    """G_k with G_0 = 0, G_1 = 1; the last doubling step forms only G_k.
+
+    From (a, b) = (G_m, G_{m+1}) at m = k // 2 and the Lucas number
+    L_m = 2b - a, G_{2m} = a L_m and G_{2m+1} = b L_m - (-1)^m: one
+    big-integer product at either parity, of the three a full step takes.
+    """
+    if k == 0:
+        return 0
+    m = k >> 1
+    a, b = _fib_pair(m)
+    lucas = 2 * b - a
+    if k & 1:
+        return b * lucas + (1 if m & 1 else -1)
+    return a * lucas
+
+
 def fib(n: int) -> int:
     """Fibonacci number with F_0 = F_1 = 1: 1, 1, 2, 3, 5, 8, 13, ..."""
     if n < 0:
         raise ParameterDomainError(f"n must be >= 0, got {n}")
-    return _fib_pair(n + 1)[0]
+    return _fib_at(n + 1)
 
 
 def fib_classical(k: int) -> int:
     """Fibonacci number with F_0 = 0, F_1 = F_2 = 1."""
     if k < 0:
         raise ParameterDomainError(f"k must be >= 0, got {k}")
-    return _fib_pair(k)[0]
+    return _fib_at(k)
 
 
 def fib_iterative(n: int) -> int:
@@ -236,18 +301,6 @@ def fib_iterative(n: int) -> int:
     for _ in range(n):
         prev, cur = cur, prev + cur
     return prev
-
-
-def gen_fib(a: float, b: float, n: int) -> float:
-    """Two-parameter deformation y_{k+1} = a y_k + b y_{k-1}, y_0 = y_1 = 1."""
-    if n < 0:
-        raise ParameterDomainError(f"n must be >= 0, got {n}")
-    prev, cur = 1.0, 1.0
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, a * cur + b * prev
-    return cur
 
 
 def ismail_fib_values(theta: float, n: int) -> tuple[float, float]:
@@ -545,9 +598,9 @@ def berg_moment_classical(n: int) -> Fraction:
 class MomentFunctional:
     """Linear functional L(x^k) = mu_k, stored as its moments mu_0, mu_1, ...
 
-    The carrier is whatever numeric type the moments are supplied in:
-    Fraction for exact work, float, or an mpmath float for extended
-    precision.  All arithmetic stays within that carrier.
+    Arithmetic stays in the numeric type of the moments and of the affine
+    map.  Its caller, berg_orthogonality, supplies Fraction moments and a
+    GoldenNumber map, so the mapped moments are exact in Q(sqrt 5).
     """
 
     def __init__(self, moments: Sequence):

@@ -1,11 +1,13 @@
 """Tests for Fibonacci variants, exact matrices, Berg orthogonality and nu moments."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from defosc import (
     GOLDEN_Q,
@@ -13,6 +15,7 @@ from defosc import (
     InsufficientMomentsError,
     ParameterDomainError,
     SingularMatrixError,
+    cli,
 )
 from defosc.fibonacci import (
     GOLDEN_Q_EXACT,
@@ -30,7 +33,6 @@ from defosc.fibonacci import (
     fib_iterative,
     fib_via_chebyshev,
     filbert_matrix,
-    gen_fib,
     is_integer_matrix,
     nu_moments,
 )
@@ -48,8 +50,15 @@ def test_fib_frozen_large_value():
 
 
 def test_fib_doubling_matches_iteration():
-    for n in list(range(30)) + [111, 250, 500]:
-        assert fib(n) == fib_iterative(n)
+    for n in range(3001):
+        assert fib(n) == fib_iterative(n), n
+
+
+def test_fib_recurrence_at_both_parities_of_the_last_doubling_step():
+    # fib(k) = G_{k+1}: these k end the doubling on odd and even indices alike
+    for k in (10**5 - 1, 10**5, 10**5 + 1):
+        assert fib(k + 1) == fib(k) + fib(k - 1), k
+        assert fib_classical(k + 1) == fib_classical(k) + fib_classical(k - 1), k
 
 
 def test_classical_indexing_shift():
@@ -62,18 +71,6 @@ def test_fib_rejects_negative():
     for fn in (fib, fib_classical, fib_iterative, fib_via_chebyshev):
         with pytest.raises(ParameterDomainError):
             fn(-1)
-
-
-def test_gen_fib_reduces_to_fib():
-    for n in range(12):
-        assert gen_fib(1.0, 1.0, n) == float(fib(n))
-
-
-def test_gen_fib_cases():
-    assert gen_fib(2.0, 1.0, 3) == 7.0
-    # b = 0 collapses to the pure geometric sequence
-    for n in range(1, 8):
-        assert gen_fib(3.0, 0.0, n) == pytest.approx(3.0 ** (n - 1), rel=1e-15)
 
 
 def test_chebyshev_route_equals_fib():
@@ -296,6 +293,127 @@ def test_golden_number_hash_and_float_coercion():
         assert getattr(PHI, op)(1.5) is NotImplemented
     with pytest.raises(TypeError):
         PHI < 1.5
+
+
+# -- GoldenNumber against a reference model on (Fraction, Fraction) pairs --
+
+_parts = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**3)),
+)
+_pairs = st.tuples(_parts, _parts)
+
+
+def _pair(g):
+    return g.r, g.s
+
+
+def _model_mul(x, y):
+    return x[0] * y[0] + 5 * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _model_inverse(x):
+    norm = x[0] * x[0] - 5 * x[1] * x[1]
+    return x[0] / norm, -x[1] / norm
+
+
+def _model_pow(x, e):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(e)):
+        out = _model_mul(out, x)
+    return _model_inverse(out) if e < 0 else out
+
+
+def _model_value(x):
+    # r + s sqrt5, read under workdps(60): far finer than the gap between
+    # any two distinct values drawn here
+    r, s = (mpmath.mpf(v.numerator) / v.denominator for v in x)
+    return r + s * mpmath.sqrt(5)
+
+
+@seed(5)
+@settings(max_examples=300, deadline=None)
+@given(_pairs, _pairs, st.integers(min_value=-4, max_value=4))
+def test_golden_number_matches_the_pair_model(x, y, e):
+    gx, gy = GoldenNumber(*x), GoldenNumber(*y)
+    assert _pair(gx) == x and GoldenNumber(gx.r, gx.s) == gx
+    assert repr(gx) == f"GoldenNumber({x[0]!r}, {x[1]!r})"
+    assert hash(gx) == (hash(x[0]) if x[1] == 0 else hash(x))
+    if x[1] == 0:
+        assert hash(gx) == hash(gx.r)
+    assert (gx == gy) is (x == y)
+    assert _pair(gx.conjugate()) == (x[0], -x[1])
+    # the right operand as a GoldenNumber, and as a Fraction or int where s = 0
+    others = [gy]
+    if y[1] == 0:
+        others.append(y[0])
+        if y[0].denominator == 1:
+            others.append(int(y[0]))
+    for o in others:
+        assert _pair(gx + o) == _pair(o + gx) == (x[0] + y[0], x[1] + y[1])
+        assert _pair(gx - o) == (x[0] - y[0], x[1] - y[1])
+        assert _pair(o - gx) == (y[0] - x[0], y[1] - x[1])
+        assert _pair(gx * o) == _pair(o * gx) == _model_mul(x, y)
+        assert (gx == o) is (x == y)
+        if x != (0, 0):
+            assert _pair(o / gx) == _model_mul(y, _model_inverse(x))
+        if y != (0, 0):
+            assert _pair(gx / o) == _model_mul(x, _model_inverse(y))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                gx / o
+    if x != (0, 0):
+        assert _pair(gx.inverse()) == _model_inverse(x)
+        assert _pair(gx**e) == _model_pow(x, e)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            gx.inverse()
+        assert gx**abs(e) == (1 if e == 0 else 0)
+    with mpmath.workdps(60):
+        for o in others:
+            assert (gx > o) is (_model_value(x) > _model_value(y))
+        want = _model_value(x)
+        got = float(gx)
+        assert abs(mpmath.mpf(got) - want) <= (math.ulp(got) / 2 if got else 0)
+        root = (gx * gx).sqrt()
+        assert _pair(root) in (x, (-x[0], -x[1])) and _model_value(_pair(root)) >= 0
+        try:
+            root = gx.sqrt()
+        except ValueError:
+            pass
+        else:
+            assert _model_mul(_pair(root), _pair(root)) == x and _model_value(_pair(root)) >= 0
+
+
+# sha256 of each Berg payload as the Fraction-pair GoldenNumber produced it:
+# a change of the exact carrier may not move a byte of the report
+_BERG_TO_DICT_SHA256 = {
+    1: "525b8684f70a65b4551b0656b95571e59c9d271df968c66c06b3ce747956dfdd",
+    2: "a50875bc948e060fa6bea6025652393e4e5bbce56e7d01e68c94d1668ca44a85",
+    3: "14b29b58373354f4b46ca62830d06f291e7497089b35c31d546cbd42c71e3230",
+    4: "6301fe7e1d6e6c5e2076d813509073e797d2db9e46873d76ef2badd642f7757d",
+    5: "1c9cb365e9ca85278add27d512c525a401f5512278348ac708f4300ae1028fed",
+    6: "07fa1f764d87a4f5ecc85c1f52fcf6b3bf98eea0233403552d76696d7d3e1191",
+    7: "ac3e1074b04e6efd013133f5d39bcc1fd35ae34f2365e392664cfa92b40bc04a",
+    8: "bd6dc7cba5028b9fa1358eb19719c97107d8e3f11517bfcacd8985e1e1a91171",
+    9: "b911e48b9c54f10be3afe580c4cf76fd5dafbee07284db1417a0950b1a0a4fc6",
+    10: "327c87031cce7237220b77b594ea1ee5db309e0c12916ea1de26b50b268b52b2",
+    11: "b05d37b0ebb093188907a6ebfa70247f81babbdbe78e199b614a05be495e26d3",
+    12: "12c4a1221742bb3b315b66f7bf5758a8a7b93decf1f81122238bccda5beb3aa3",
+    13: "59dfeda1e9b06a7d89a8b4a5c3c9517b62c5d403b3b313ca6cd0017710496ab6",
+    14: "ae3566ce68be65ff34481de330e2783c9bbf99293bd54c27b093d00182a2065e",
+    15: "ac4dde402a178c2e587542a08fc0b71696a6d41379ea53340acea3f526e8a19d",
+    16: "a379369f3f5b5ac38fcf10f20cd149a36b422a734817ebdb8a7646a659a33639",
+}
+_FIB_BERG_16_CSV_SHA256 = "06730cec79de360e9774eb6e62a46e9d054f4e9c351bf02c84c53efb34e6c820"
+
+
+def test_berg_payloads_are_pinned(capsys):
+    for n_max, digest in _BERG_TO_DICT_SHA256.items():
+        payload = json.dumps(berg_orthogonality(n_max).to_dict())
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest, n_max
+    assert cli.main(["fib", "berg", "--nmax", "16", "--format", "csv"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _FIB_BERG_16_CSV_SHA256
 
 
 # -- Filbert matrix --
