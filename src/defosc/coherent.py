@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oscillator, qseries
+from . import qseries
 from .errors import (
     DefoscError,
     DimensionError,
@@ -32,6 +32,7 @@ from .errors import (
     TruncationError,
     ZeroCoefficientError,
 )
+from .oscillator import _xp_products
 from .recurrence import CoefficientSequence
 
 __all__ = [
@@ -230,17 +231,20 @@ def eigen_residual(state: CoherentState, seq: CoefficientSequence) -> float:
 def uncertainty(
     state: CoherentState, seq: CoefficientSequence
 ) -> tuple[float, float, float]:
-    """(dX, dP, bound) in the truncated representation, bound = |<[X,P]>|/2."""
-    x, p = oscillator.position_momentum(seq, state.dim)
+    """(dX, dP, bound) in the truncated representation, bound = |<[X,P]>|/2.
+
+    X v, P v, X (P v) and P (X v) come from the a_n and b_n vectors directly,
+    with no operator object built; each is bit-identical to the matvec of
+    build_operators(seq, state.dim).x or .p.
+    """
     v = state.coeffs
-    xv = x.matvec(v)
-    pv = p.matvec(v)
+    xv, pv, xpv, pxv = _xp_products(seq, v)
     mean_x = float(np.vdot(v, xv).real)
     mean_p = float(np.vdot(v, pv).real)
     # centred form: <X^2> - <X>^2 cancels catastrophically when a_n >> b_n
     cx, cp = xv - mean_x * v, pv - mean_p * v
     d_x, d_p = math.sqrt(np.vdot(cx, cx).real), math.sqrt(np.vdot(cp, cp).real)
-    comm = np.vdot(v, x.matvec(pv)) - np.vdot(v, p.matvec(xv))
+    comm = np.vdot(v, xpv) - np.vdot(v, pxv)
     bound = 0.5 * abs(comm)
     return d_x, d_p, float(bound)
 

@@ -34,7 +34,6 @@ __all__ = [
     "RelationCheck",
     "AlgebraReport",
     "build_operators",
-    "position_momentum",
     "commutator",
     "verify_algebra",
     "matrix_to_json",
@@ -73,7 +72,7 @@ class BandMatrix:
                 raise DimensionError(
                     f"band {o} of a {dim}x{dim} matrix must have length {dim - abs(o)}"
                 )
-            if np.any(arr != 0.0):
+            if arr.any():  # NaN counts as nonzero, -0.0 as zero
                 self.bands[o] = arr.copy()
 
     # -- accessors ---------------------------------------------------------
@@ -97,13 +96,7 @@ class BandMatrix:
         v = np.asarray(v)
         if v.shape != (self.dim,):
             raise DimensionError(f"vector of length {self.dim} expected, got {v.shape}")
-        out = np.zeros(self.dim, dtype=np.result_type(v.dtype, float))
-        for o, vals in self.bands.items():
-            if o >= 0:
-                out[: self.dim - o] += vals * v[o:]
-            else:
-                out[-o:] += vals * v[: self.dim + o]
-        return out * 1j if self.imaginary else out
+        return _matvec(self.bands, v, self.imaginary)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -164,16 +157,28 @@ class BandMatrix:
         cut = self.dim - skip_edge
         # both endpoints of band entry k are < cut iff k < cut - |o|
         parts = [v[: max(0, cut - abs(o))] for o, v in self.bands.items()]
-        return _peak([np.max(np.abs(p)) for p in parts if p.size])
+        return _peak([np.abs(p).max() for p in parts if p.size])
 
     def edge_max_abs(self, skip_edge: int = 2) -> float:
         """Largest |entry| touching the last skip_edge rows or columns (NaN if any is)."""
         cut = self.dim - skip_edge
         parts = [v[max(0, cut - abs(o)) :] for o, v in self.bands.items()]
-        return _peak([np.max(np.abs(p)) for p in parts if p.size])
+        return _peak([np.abs(p).max() for p in parts if p.size])
 
     def __repr__(self) -> str:
         return f"BandMatrix(dim={self.dim}, offsets={sorted(self.bands)}, imaginary={self.imaginary})"
+
+
+def _matvec(bands: dict[int, np.ndarray], v: np.ndarray, imaginary: bool) -> np.ndarray:
+    """Sum of the band products with v, added in the bands' order onto zeros, times i last."""
+    dim = len(v)
+    out = np.zeros(dim, dtype=np.result_type(v.dtype, float))
+    for o, vals in bands.items():
+        if o >= 0:
+            out[: dim - o] += vals * v[o:]
+        else:
+            out[-o:] += vals * v[: dim + o]
+    return out * 1j if imaginary else out
 
 
 @dataclass(frozen=True)
@@ -190,21 +195,34 @@ class Operators:
     hamiltonian: BandMatrix
 
 
-def position_momentum(seq: CoefficientSequence, dim: int) -> tuple[BandMatrix, BandMatrix]:
-    """X and P of `seq` truncated at `dim`, without the operators built from them."""
+def _xp_products(seq: CoefficientSequence, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """X v, P v, X (P v) and P (X v) for the X and P of build_operators(seq, len(v)).
+
+    No BandMatrix is built: X and P go to _matvec as the bands a BandMatrix
+    would store, only those with an entry other than +-0.0 (so 0 * inf never
+    makes a NaN), in the order diagonal, +1, -1.  Each product is therefore
+    bit-identical to the matvec of the built operator.
+    """
+    dim = len(v)
+    b_vals = np.fromiter(seq.b_values(dim - 1), float, dim - 1)
+    a_vals = np.fromiter(seq.a_values(dim), float, dim)
+    x = {0: a_vals} if a_vals.any() else {}
+    p = {}
+    if b_vals.any():  # -b_n is nonzero exactly where b_n is
+        x.update({1: b_vals, -1: b_vals})
+        p = {1: b_vals, -1: -b_vals}
+    xv, pv = _matvec(x, v, False), _matvec(p, v, True)
+    return xv, pv, _matvec(x, pv, False), _matvec(p, xv, True)
+
+
+def build_operators(seq: CoefficientSequence, dim: int) -> Operators:
+    """Assemble X, P, a+-, N, B(N) and H for `seq` truncated at `dim`."""
     if dim < 2:
         raise DimensionError(f"dim must be >= 2, got {dim}")
     b_vals = np.fromiter(seq.b_values(dim - 1), float, dim - 1)
     a_vals = np.fromiter(seq.a_values(dim), float, dim)
     x = BandMatrix(dim, {0: a_vals, 1: b_vals, -1: b_vals})
     p = BandMatrix(dim, {1: b_vals, -1: -b_vals}, imaginary=True)
-    return x, p
-
-
-def build_operators(seq: CoefficientSequence, dim: int) -> Operators:
-    """Assemble X, P, a+-, N, B(N) and H for `seq` truncated at `dim`."""
-    x, p = position_momentum(seq, dim)
-    b_vals = x.band(1)  # b_0 .. b_{dim-2}, a zero vector when X stores no band 1
     # B's eigenvalues are assembled from the same sqrt(2) b_n products that
     # fill the ladder operators, so 2B(N) - a+ a- cancels exactly in floating
     # point instead of leaving eps * b_n^2 noise that commutators amplify.
@@ -281,7 +299,7 @@ def verify_algebra(seq: CoefficientSequence, dim: int, tol: float = 1e-10) -> Al
     if not 0.0 <= tol < math.inf:
         raise ParameterDomainError(f"tol must be finite and >= 0, got {tol}")
     ops = build_operators(seq, dim)
-    if not any(seq.b_values(dim - 1)):
+    if not ops.a_plus.bands:  # every sqrt(2) b_n is +-0.0; NaN is nonzero
         raise ZeroCoefficientError(
             f"every b_n with n < {dim - 1} is 0 in double precision "
             "(a true zero or an underflow): no oscillator to verify"

@@ -24,6 +24,7 @@ from defosc.coherent import (
     state_to_dict,
     uncertainty,
 )
+from defosc.oscillator import build_operators
 
 
 # -- deformed factorial --
@@ -508,6 +509,72 @@ def test_uncertainty_keeps_robertson_bound_when_a_n_dominates_b_n():
         seq = make_sequence("laguerre", {"alpha": alpha})
         dx, dp, bound = uncertainty(make_state(seq, 0.5, 8, strict=False), seq)
         assert dx * dp >= bound * (1 - 1e-12), alpha
+
+
+
+def _uncertainty_by_band_matrices(state, seq):
+    """uncertainty's formulas on the X and P of build_operators, applied by matvec."""
+    with np.errstate(over="ignore"):  # H's 2 b_n^2 may overflow; it is not used
+        ops = build_operators(seq, state.dim)
+    v = state.coeffs
+    xv, pv = ops.x.matvec(v), ops.p.matvec(v)
+    mean_x, mean_p = float(np.vdot(v, xv).real), float(np.vdot(v, pv).real)
+    cx, cp = xv - mean_x * v, pv - mean_p * v
+    comm = np.vdot(v, ops.x.matvec(pv)) - np.vdot(v, ops.p.matvec(xv))
+    return (
+        math.sqrt(np.vdot(cx, cx).real),
+        math.sqrt(np.vdot(cp, cp).real),
+        float(0.5 * abs(comm)),
+    )
+
+
+def _bits(floats):
+    """Bit patterns: == on every float, and NaN matches NaN."""
+    return np.array(floats, dtype=float).tobytes()
+
+
+# |z| log-spaced from 0.01 to 30 with seeded phases, plus points on both axes
+_RNG = np.random.default_rng(27)
+UNCERTAINTY_ZS = tuple(
+    complex(r * np.exp(1j * t))
+    for r, t in zip(np.geomspace(0.01, 30.0, 10), _RNG.uniform(-math.pi, math.pi, 10))
+) + (0.05, 0.8j, -3.0, 0.7 - 0.2j)
+
+
+def _assert_uncertainty_matches_band_matrices(seq, dims):
+    compared = 0
+    for dim in dims:
+        for z in UNCERTAINTY_ZS:
+            try:
+                st = make_state(seq, z, dim, strict=False)
+            except ZeroCoefficientError:
+                continue  # a q-family b_k underflows below dim
+            want = _uncertainty_by_band_matrices(st, seq)
+            assert _bits(uncertainty(st, seq)) == _bits(want), (seq.family_id, dim, z)
+            compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("name", sorted(PIN_FAMILIES))
+def test_uncertainty_matches_the_band_matrix_route_bit_for_bit(name):
+    seq = make_sequence(name, PIN_FAMILIES[name])
+    assert _assert_uncertainty_matches_band_matrices(seq, (2, 3, 64, 257, 4096)) > 0
+
+
+def test_uncertainty_matches_the_band_matrix_route_on_custom_sequences():
+    dims = (2, 3, 64, 257)
+    # all-zero a_n store no diagonal, so 0 * inf never enters a product
+    huge = custom_sequence(lambda n: 5e153 * (1.0 + 0.5 / (n + 1)))
+    assert _assert_uncertainty_matches_band_matrices(huge, dims)
+    # a_n of both signs and exact zeros
+    signed = custom_sequence(
+        lambda n: math.sqrt(n + 1.0), a_fn=lambda n: 0.5 * (n % 3 - 1)
+    )
+    assert _assert_uncertainty_matches_band_matrices(signed, dims)
+    # past sqrt(max float) the products overflow to inf and the bound is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflowing = custom_sequence(lambda n: 1.3e154 * (1.0 + 0.5 / (n + 1)))
+        assert _assert_uncertainty_matches_band_matrices(overflowing, dims)
 
 
 # -- serialization --

@@ -344,6 +344,12 @@ def test_nan_residual_fails_its_relation():
     m = BandMatrix(4, {0: [0.0, 1.0, math.nan, 2.0], 1: [5.0, 0.0, 0.0]})
     assert math.isnan(m.max_abs()) and math.isnan(m.edge_max_abs(2))
     assert m.max_abs(skip_edge=2) == 5.0
+    # a band of -0.0 is zero and is dropped; one NaN keeps its band, and the
+    # maxima of that band are NaN wherever the NaN lies
+    m = BandMatrix(4, {0: [-0.0] * 4, 1: [0.0, -0.0, math.nan], -1: [-0.0, 0.0, 0.0]})
+    assert list(m.bands) == [1]
+    assert math.isnan(m.max_abs()) and math.isnan(m.edge_max_abs(2))
+    assert m.max_abs(skip_edge=2) == 0.0
 
 
 def test_algebra_is_gauge_invariant():
