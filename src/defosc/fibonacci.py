@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -250,6 +251,22 @@ PHI = GoldenNumber(Fraction(1, 2), Fraction(1, 2))
 # -- Fibonacci numbers ---------------------------------------------------------
 
 
+def _count(name: str, value, low: int, high: int | None = None) -> int:
+    """value as a Python int in low..high (no upper end when high is None).
+
+    A count that is not an integer (2.5, and also 3.0) is rejected here,
+    where it enters, and not later by a shift, a range or a complex power.
+    """
+    span = f">= {low}" if high is None else f"in {low}..{high}"
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ParameterDomainError(f"{name} must be an integer {span}, got {value!r}") from None
+    if count < low or (high is not None and count > high):
+        raise ParameterDomainError(f"{name} must be {span}, got {count}")
+    return count
+
+
 def _fib_pair(k: int) -> tuple[int, int]:
     """(G_k, G_{k+1}) with G_0 = 0, G_1 = 1, by halving the index."""
     if k == 0:
@@ -281,24 +298,18 @@ def _fib_at(k: int) -> int:
 
 def fib(n: int) -> int:
     """Fibonacci number with F_0 = F_1 = 1: 1, 1, 2, 3, 5, 8, 13, ..."""
-    if n < 0:
-        raise ParameterDomainError(f"n must be >= 0, got {n}")
-    return _fib_at(n + 1)
+    return _fib_at(_count("n", n, 0) + 1)
 
 
 def fib_classical(k: int) -> int:
     """Fibonacci number with F_0 = 0, F_1 = F_2 = 1."""
-    if k < 0:
-        raise ParameterDomainError(f"k must be >= 0, got {k}")
-    return _fib_at(k)
+    return _fib_at(_count("k", k, 0))
 
 
 def fib_iterative(n: int) -> int:
     """fib(n) by plain addition; independent route kept for consistency checks."""
-    if n < 0:
-        raise ParameterDomainError(f"n must be >= 0, got {n}")
     prev, cur = 1, 1
-    for _ in range(n):
+    for _ in range(_count("n", n, 0)):
         prev, cur = cur, prev + cur
     return prev
 
@@ -313,8 +324,7 @@ def ismail_fib_values(theta: float, n: int) -> tuple[float, float]:
     """
     if not (0.0 < theta < math.inf):
         raise ParameterDomainError(f"theta must be finite and > 0, got {theta}")
-    if n < 1:
-        raise ParameterDomainError(f"n must be >= 1, got {n}")
+    n = _count("n", n, 1)
     q_base = -math.exp(-2.0 * theta)
     try:
         growth = math.exp((n - 1) * theta)
@@ -355,8 +365,7 @@ def fib_via_chebyshev(n: int) -> int:
     recurrence is a Gaussian integer or half-integer, so the float arithmetic
     is exact while fib(n) < 2**53, that is for n <= 77; larger n is rejected.
     """
-    if n < 0:
-        raise ParameterDomainError(f"n must be >= 0, got {n}")
+    n = _count("n", n, 0)
     if n > _CHEBYSHEV_MAX_N:
         raise ParameterDomainError(
             f"n must be <= {_CHEBYSHEV_MAX_N} for the exact Chebyshev route, got {n}"
@@ -369,18 +378,19 @@ def fib_via_chebyshev(n: int) -> int:
 
 
 def _geometric_partial_sum(s, K: int):
-    """sum_{k<K} s^k by doubling over the bits of K, most significant first.
+    """(sum_{k<K} s^k, s^K) by doubling over the bits of K, most significant first.
 
     Carries S(m) = sum_{k<m} s^k and s^m through S(2m) = S(m) (1 + s^m) and
     S(m+1) = S(m) + s^m: at most 3 log2 K products in the carrier of s,
-    instead of the K of term-by-term summation.
+    instead of the K of term-by-term summation.  The power it ends holding
+    is s^K, returned so that no caller forms it a second time.
     """
     total, power = 0, 1
     for bit in bin(K)[2:]:
         total, power = total * (1 + power), power * power
         if bit == "1":
             total, power = total + power, power * s
-    return total
+    return total, power
 
 
 @dataclass(frozen=True)
@@ -423,21 +433,23 @@ def nu_moments(
     Everything is evaluated in mpmath at a working precision that grows with
     K so that rounding stays below the tail bound, and the K-term partial sum
     is formed by doubling over the bits of K (O(log K) products, see
-    _geometric_partial_sum).  The cost grows with that precision, which is
-    dps = K (alpha + n) log10(1/|q|) + 30 digits (at least 50): n = alpha = 3,
-    q = 1e-3, K = 4097 runs at 73,776 digits and takes seconds (3.4-5.4 s
-    measured on a 2-core Xeon).  dps is not lowered to save time; a smaller
-    K is the cheaper choice when its bound suffices.
+    _geometric_partial_sum); the tail's |q^{alpha+n}|^K is the last power of
+    that loop.  Each call takes at most one exponential, e^{-2 theta}: the
+    default q is its negative, and e^{-n theta} is its (n // 2)-th power,
+    times its square root when n is odd.  The cost grows with the precision,
+    which is dps = K (alpha + n) log10(1/|q|) + 30 digits (at least 50), and
+    at high precision the exponential dominates it: n = alpha = 3, q = 1e-3,
+    K = 4097 runs at 73,776 digits and takes about 2 s (2.0-2.1 s measured
+    on a 2-core Xeon).  dps is not lowered to save time; a smaller K is the
+    cheaper choice when its bound suffices.
 
     When q^{alpha+n} > 0 the dropped tail is a positive geometric series and
     the bound is attained exactly, so within_bound compares with a small
     working-precision margin; without it the verdict at equality would be
     decided by the last rounding of two equal quantities.
     """
-    if n < 0:
-        raise ParameterDomainError(f"n must be >= 0, got {n}")
-    if not isinstance(K, int) or K < 1:
-        raise ParameterDomainError(f"K must be an integer >= 1, got {K!r}")
+    n = _count("n", n, 0)
+    K = _count("K", K, 1)
     if not math.isfinite(theta):
         raise ParameterDomainError(f"theta must be finite, got {theta}")
     if not (math.isfinite(alpha) and alpha + n > 0):
@@ -463,14 +475,18 @@ def nu_moments(
     with mpmath.workdps(dps):
         # exact alpha + n: in doubles its last bit decides within_bound at q > 0
         alpha_i = int(alpha) if alpha == int(alpha) else mpmath.mpf(alpha)
-        tv = mpmath.mpf(theta)
-        qv = -mpmath.exp(-2 * tv) if q is None else mpmath.mpf(q)
-        e_nt = mpmath.exp(-n * tv)
+        # the one exponential, skipped when nothing reads it (explicit q, n = 0).
+        # It is e^(-2 theta), not e^(-theta): mpmath takes e^m for an integer m
+        # as a power of its cached e, so theta = 0.5 costs no series here
+        e2 = mpmath.exp(-2 * mpmath.mpf(theta)) if q is None or n else 1
+        qv = -e2 if q is None else mpmath.mpf(q)
+        e_nt = e2 ** (n >> 1) * (mpmath.sqrt(e2) if n & 1 else 1)
         mass = 1 - qv**alpha_i
         step = qv ** (alpha_i + n)
-        truncated = mass * e_nt * _geometric_partial_sum(step, K)
+        partial, step_k = _geometric_partial_sum(step, K)
+        truncated = mass * e_nt * partial
         closed = mass * e_nt / (1 - step)
-        tail = abs(mass) * e_nt * abs(qv) ** ((alpha_i + n) * K) / (1 - abs(qv) ** (alpha_i + n))
+        tail = abs(mass) * e_nt * abs(step_k) / (1 - abs(step))
         margin = (abs(truncated) + abs(closed)) * mpmath.mpf(10) ** (15 - dps)
         within = bool(abs(truncated - closed) <= tail + margin)
         return NuMomentResult(
@@ -492,13 +508,17 @@ def nu_moments(
 
 
 def filbert_matrix(n: int) -> list[list[Fraction]]:
-    """n x n matrix with entries 1/F_{i+j+1} (classical indexing, i, j >= 1)."""
-    if n < 1:
-        raise ParameterDomainError(f"n must be >= 1, got {n}")
-    return [
-        [Fraction(1, fib_classical(i + j + 1)) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
+    """n x n matrix with entries 1/F_{i+j+1} (classical indexing, i, j >= 1).
+
+    F_0 .. F_{2n+1} are formed once by addition and each reciprocal once;
+    row i is the slice 1/F_{i+2} .. 1/F_{i+n+1}, a list of its own.
+    """
+    n = _count("n", n, 1)
+    fibs = [0, 1]
+    for _ in range(2 * n):
+        fibs.append(fibs[-2] + fibs[-1])
+    recips = [Fraction(1, f) for f in fibs[3:]]  # recips[k] = 1/F_{k+3}
+    return [recips[i : i + n] for i in range(n)]
 
 
 def _as_exact_square(m: Sequence[Sequence]) -> list[list[Fraction]]:
@@ -590,9 +610,7 @@ def is_integer_matrix(m: Sequence[Sequence[Fraction]]) -> bool:
 
 def berg_moment_classical(n: int) -> Fraction:
     """1/F_{n+2} in the classical convention: 1, 1/2, 1/3, 1/5, ..."""
-    if n < 0:
-        raise ParameterDomainError(f"n must be >= 0, got {n}")
-    return Fraction(1, fib_classical(n + 2))
+    return Fraction(1, fib_classical(_count("n", n, 0) + 2))
 
 
 class MomentFunctional:
@@ -701,8 +719,7 @@ def berg_orthogonality(n_max: int = 6) -> BergReport:
     exactly.  Floats appear only in the report.  Off-diagonal entries are
     reported normalized by sqrt(L(p_m^2) L(p_n^2)).
     """
-    if not (1 <= n_max <= 16):
-        raise ParameterDomainError(f"n_max must be in 1..16, got {n_max}")
+    n_max = _count("n_max", n_max, 1, 16)
     q = GOLDEN_Q_EXACT
     base = MomentFunctional([berg_moment_classical(k) for k in range(2 * n_max + 1)])
     # the calibration needs p_1 and p_2 even when the table stops at n_max = 1

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -23,6 +24,8 @@ from defosc.fibonacci import (
     THETA0,
     GoldenNumber,
     MomentFunctional,
+    NuMomentResult,
+    _geometric_partial_sum,
     berg_moment_classical,
     berg_orthogonality,
     calibrate_affine,
@@ -34,6 +37,7 @@ from defosc.fibonacci import (
     fib_via_chebyshev,
     filbert_matrix,
     is_integer_matrix,
+    ismail_fib,
     nu_moments,
 )
 from defosc.qseries import little_q_jacobi_coeffs
@@ -71,6 +75,46 @@ def test_fib_rejects_negative():
     for fn in (fib, fib_classical, fib_iterative, fib_via_chebyshev):
         with pytest.raises(ParameterDomainError):
             fn(-1)
+
+
+# each count once ended in a TypeError from >>, range or a complex power
+@pytest.mark.parametrize(
+    "fn, args, name",
+    [
+        pytest.param(fn, args, name, id=fn.__name__)
+        for fn, args, name in [
+            (nu_moments, (2.5, 1, 0.5), "n"),
+            (fib, (2.5,), "n"),
+            (fib_classical, (3.0,), "k"),
+            (berg_moment_classical, (2.5,), "n"),
+            (fib_iterative, (2.5,), "n"),
+            (fib_via_chebyshev, (2.5,), "n"),
+            (ismail_fib, (0.5, 2.5), "n"),
+            (filbert_matrix, (2.5,), "n"),
+            (berg_orthogonality, (6.0,), "n_max"),
+        ]
+    ],
+)
+def test_non_integer_count_is_rejected_where_it_enters(fn, args, name):
+    with pytest.raises(ParameterDomainError, match=rf"^{name} must be an integer "):
+        fn(*args)
+
+
+def test_out_of_range_count_keeps_its_message():
+    for fn, args, text in [
+        (fib, (-1,), "n must be >= 0, got -1"),
+        (fib_classical, (-2,), "k must be >= 0, got -2"),
+        (ismail_fib, (0.5, 0), "n must be >= 1, got 0"),
+        (filbert_matrix, (0,), "n must be >= 1, got 0"),
+        (berg_orthogonality, (17,), "n_max must be in 1..16, got 17"),
+        (nu_moments, (-1, 2, 0.5), "n must be >= 0, got -1"),
+        (nu_moments, (0, 2, 0.5, None, 0), "K must be >= 1, got 0"),
+    ]:
+        with pytest.raises(ParameterDomainError) as err:
+            fn(*args)
+        assert str(err.value) == text
+    # an integer of another type (bool here, a numpy integer alike) is a count
+    assert fib(True) == fib(1) and filbert_matrix(True) == filbert_matrix(1)
 
 
 def test_chebyshev_route_equals_fib():
@@ -425,6 +469,11 @@ def test_filbert_entries_are_reciprocal_fibonacci():
         [Fraction(1, 3), Fraction(1, 5), Fraction(1, 8)],
         [Fraction(1, 5), Fraction(1, 8), Fraction(1, 13)],
     ]
+    for n in range(1, 41):
+        assert filbert_matrix(n) == [
+            [Fraction(1, fib_classical(i + j + 1)) for j in range(1, n + 1)]
+            for i in range(1, n + 1)
+        ], n
 
 
 def test_filbert_one_by_one():
@@ -446,6 +495,18 @@ def test_filbert_inverses_are_integer_matrices():
         product = exact_matmul(m, inv)
         identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
         assert product == identity
+
+
+def test_filbert_rows_are_lists_of_their_own():
+    m = filbert_matrix(4)
+    assert len({id(row) for row in m}) == 4
+    m[1][0] = Fraction(7)
+    m[2].append(Fraction(0))
+    fresh = filbert_matrix(4)
+    assert m[0] == fresh[0] and m[3] == fresh[3]
+    assert fresh[1][0] == Fraction(1, 3) and len(fresh[2]) == 4
+    m[0][1] = Fraction(9)  # the entry also sits in the next row's slice
+    assert m[1][0] == Fraction(7)
 
 
 def test_filbert_validation():
@@ -774,6 +835,65 @@ def test_nu_doubling_sum_equals_plain_loop(q):
                 want = _nu_plain_loop(n, alpha, 0.7, q, K, res.dps)
                 got = (res.truncated, res.closed_form, res.tail_bound, res.within_bound)
                 assert got == want, (K, alpha, n)
+
+
+def _nu_two_exponentials(n, alpha, theta, q, K):
+    """nu_moments with two exponentials and a separate K-th power, at the same dps.
+
+    The default q is -exp(-2 theta), e^(-n theta) is its own exponential, and
+    the tail takes |q|^((alpha+n) K) by a power of its own.
+    """
+    q_known = -math.exp(-2.0 * theta) if q is None else q
+    dps = max(50, int(math.ceil(K * (alpha + n) * -math.log10(abs(q_known)))) + 30)
+    with mpmath.workdps(dps):
+        alpha_i = int(alpha) if alpha == int(alpha) else mpmath.mpf(alpha)
+        tv = mpmath.mpf(theta)
+        qv = -mpmath.exp(-2 * tv) if q is None else mpmath.mpf(q)
+        e_nt = mpmath.exp(-n * tv)
+        mass = 1 - qv**alpha_i
+        step = qv ** (alpha_i + n)
+        truncated = mass * e_nt * _geometric_partial_sum(step, K)[0]
+        closed = mass * e_nt / (1 - step)
+        tail = abs(mass) * e_nt * abs(qv) ** ((alpha_i + n) * K) / (1 - abs(qv) ** (alpha_i + n))
+        margin = (abs(truncated) + abs(closed)) * mpmath.mpf(10) ** (15 - dps)
+        within = bool(abs(truncated - closed) <= tail + margin)
+        return NuMomentResult(
+            n, alpha, theta, float(qv), K, float(truncated), float(closed), float(tail),
+            within, "extended", dps,
+        )
+
+
+def _nu_route_grid():
+    rng = random.Random(20150)
+    # short mantissas (0.5 and 2theta = 1 take mpmath's integer exp path) and long ones
+    thetas = [THETA0, 0.5, 0.25, 1.5] + [rng.uniform(0.05, 2.0) for _ in range(2)]
+    for theta in thetas:
+        for K in (1, 2, 3):
+            for n in range(7):
+                for alpha in (1, 2, 3):
+                    yield n, alpha, theta, None, K
+        for n, alpha in ((0, 1), (1, 2), (2, 3), (5, 1), (6, 2)):
+            yield n, alpha, theta, None, 200
+    for theta in (THETA0, 0.5, thetas[-1]):
+        for n, alpha in ((0, 1), (3, 3), (6, 2)):
+            yield n, alpha, theta, None, 2000
+    qs = [-0.9, -0.3, 0.3, 0.9] + [rng.choice((-1, 1)) * rng.uniform(0.01, 0.99) for _ in range(2)]
+    for q in qs:
+        for theta in (0.7, THETA0, 0.0, -0.5, -2.0):
+            for K in (1, 2, 3, 200):
+                for n in range(4):
+                    for alpha in (1, 2) if q < 0 else (1, 2, 0.5, 2.5):
+                        yield n, alpha, theta, q, K
+    for q in (-0.5, 0.5):
+        yield 6, 2, 0.3, q, 2000
+
+
+def test_nu_moments_match_the_two_exponential_route_field_for_field():
+    cases = list(_nu_route_grid())
+    assert len(cases) > 1000
+    for n, alpha, theta, q, K in cases:
+        want = _nu_two_exponentials(n, alpha, theta, q, K)
+        assert nu_moments(n, alpha, theta, q=q, K=K) == want, (n, alpha, theta, q, K)
 
 
 def test_nu_within_bound_for_non_integer_alpha():
