@@ -430,18 +430,27 @@ def nu_moments(
     on their true difference.  q defaults to -e^{-2 theta}, which needs
     theta > 0.
 
-    Everything is evaluated in mpmath at a working precision that grows with
+    The series is evaluated in mpmath at a working precision that grows with
     K so that rounding stays below the tail bound, and the K-term partial sum
     is formed by doubling over the bits of K (O(log K) products, see
     _geometric_partial_sum); the tail's |q^{alpha+n}|^K is the last power of
-    that loop.  Each call takes at most one exponential, e^{-2 theta}: the
-    default q is its negative, and e^{-n theta} is its (n // 2)-th power,
-    times its square root when n is odd.  The cost grows with the precision,
-    which is dps = K (alpha + n) log10(1/|q|) + 30 digits (at least 50), and
-    at high precision the exponential dominates it: n = alpha = 3, q = 1e-3,
-    K = 4097 runs at 73,776 digits and takes about 2 s (2.0-2.1 s measured
-    on a 2-core Xeon).  dps is not lowered to save time; a smaller K is the
-    cheaper choice when its bound suffices.
+    that loop.  That precision is dps = K (alpha + n) log10(1/|q|) + 30
+    digits (at least 50).  Its inputs, q, s = q^{alpha+n}, the mass
+    1 - q^alpha and e^{-n theta}, are formed once at 50 digits, which is
+    enough for two reasons.  within_bound checks that the partial sum of s^k
+    lies within |s|^K / (1 - |s|) of 1/(1 - s), which holds for whatever
+    exact value s has: it is checked for the mpf s it is given, and that s is
+    a rounding of the true s at any precision.  And mass e^{-n theta} is a
+    common factor of everything it compares, while the float fields read the
+    inputs only to about 17 digits.  Each call takes at most one
+    exponential, e^{-2 theta} at 50 digits: the default q is its negative,
+    and e^{-n theta} is its (n // 2)-th power, times its square root when n
+    is odd.  The cost then grows with dps through the doubling loop alone:
+    n = alpha = 3, q = 1e-3, K = 4097 runs at 73,776 digits in about 0.1 s
+    (0.10-0.11 s measured on a 2-core Xeon), and n = 6, alpha = 2,
+    theta = theta0, K = 2000 at 6,718 digits in about 2.3 ms.  dps is not
+    lowered to save time; a smaller K is the cheaper choice when its bound
+    suffices.
 
     When q^{alpha+n} > 0 the dropped tail is a positive geometric series and
     the bound is attained exactly, so within_bound compares with a small
@@ -463,7 +472,10 @@ def nu_moments(
         )
     q_known = -math.exp(-2.0 * theta) if q is None else q
     if not (0.0 < abs(q_known) < 1.0):
-        raise ParameterDomainError(f"require 0 < |q| < 1, got q={q_known}")
+        got = f"q={q_known}" if q is not None else (
+            f"theta={theta}, where the default q = -e^(-2 theta) rounds to {q_known}"
+        )
+        raise ParameterDomainError(f"require 0 < |q| < 1, got {got}")
     if q_known < 0.0 and alpha != int(alpha):
         raise ParameterDomainError(
             f"alpha must be an integer when q < 0, got alpha={alpha}"
@@ -472,8 +484,8 @@ def nu_moments(
 
     # working precision sized so rounding stays below the geometric tail
     dps = max(50, int(math.ceil(K * (alpha + n) * -math.log10(abs(q_known)))) + 30)
-    with mpmath.workdps(dps):
-        # exact alpha + n: in doubles its last bit decides within_bound at q > 0
+    with mpmath.workdps(50):
+        # an integer alpha stays an int, so q < 0 takes real powers
         alpha_i = int(alpha) if alpha == int(alpha) else mpmath.mpf(alpha)
         # the one exponential, skipped when nothing reads it (explicit q, n = 0).
         # It is e^(-2 theta), not e^(-theta): mpmath takes e^m for an integer m
@@ -483,6 +495,7 @@ def nu_moments(
         e_nt = e2 ** (n >> 1) * (mpmath.sqrt(e2) if n & 1 else 1)
         mass = 1 - qv**alpha_i
         step = qv ** (alpha_i + n)
+    with mpmath.workdps(dps):
         partial, step_k = _geometric_partial_sum(step, K)
         truncated = mass * e_nt * partial
         closed = mass * e_nt / (1 - step)
@@ -521,8 +534,25 @@ def filbert_matrix(n: int) -> list[list[Fraction]]:
     return [recips[i : i + n] for i in range(n)]
 
 
+def _fraction_rows(name: str, m: Sequence[Sequence]) -> list[list[Fraction]]:
+    """m as lists of Fractions; an entry that Fraction rejects (NaN, inf) is named by its (i, j)."""
+    try:
+        return [[Fraction(v) for v in row] for row in m]
+    except (ValueError, OverflowError) as exc:
+        error = exc
+    for i, row in enumerate(m):
+        for j, v in enumerate(row):
+            try:
+                Fraction(v)
+            except (ValueError, OverflowError):
+                raise ParameterDomainError(
+                    f"{name} entry ({i}, {j}) must be a finite rational, got {v!r}"
+                ) from error
+    raise error
+
+
 def _as_exact_square(m: Sequence[Sequence]) -> list[list[Fraction]]:
-    rows = [[Fraction(v) for v in row] for row in m]
+    rows = _fraction_rows("m", m)
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise ParameterDomainError("matrix must be square and non-empty")
@@ -582,8 +612,8 @@ def exact_matmul(
     its denominators, so an entry is one integer dot product over the
     product of the two scales, made a Fraction once.
     """
-    rows_a = [[Fraction(v) for v in row] for row in a]
-    rows_b = [[Fraction(v) for v in row] for row in b]
+    rows_a = _fraction_rows("a", a)
+    rows_b = _fraction_rows("b", b)
     if (
         not rows_a
         or not rows_b
@@ -602,7 +632,7 @@ def exact_matmul(
 
 
 def is_integer_matrix(m: Sequence[Sequence[Fraction]]) -> bool:
-    return all(Fraction(v).denominator == 1 for row in m for v in row)
+    return all(v.denominator == 1 for row in _fraction_rows("m", m) for v in row)
 
 
 # -- Berg moments and the Hankel moment functional ------------------------------

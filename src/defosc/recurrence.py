@@ -415,6 +415,11 @@ def _ismail_theta(theta: float, alpha: float = 2.0, q: float | None = None) -> C
         raise ParameterDomainError(f"ismail-theta requires theta > 0, got {theta}")
     if q is None:
         q = -math.exp(-2.0 * theta)
+        if not -1.0 < q < 0.0:
+            raise ParameterDomainError(
+                "ismail-theta requires 0 < |q| < 1, got "
+                f"theta={theta}, where the default q = -e^(-2 theta) rounds to {q}"
+            )
     if alpha != int(alpha) and q < 0.0:
         raise ParameterDomainError(
             f"alpha must be an integer when q < 0, got alpha={alpha}, q={q}"

@@ -608,6 +608,24 @@ def test_is_integer_matrix():
     assert not is_integer_matrix([[Fraction(1, 2)]])
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "fn, args, where",
+    [
+        (exact_inverse, lambda v: ([[1, 2], [3, v]],), "m entry (1, 1)"),
+        (exact_matmul, lambda v: ([[1, v]], [[1], [2]]), "a entry (0, 1)"),
+        (exact_matmul, lambda v: ([[1, 2]], [[1], [v]]), "b entry (1, 0)"),
+        (is_integer_matrix, lambda v: ([[Fraction(1)], [v]],), "m entry (1, 0)"),
+    ],
+    ids=["exact_inverse", "exact_matmul-a", "exact_matmul-b", "is_integer_matrix"],
+)
+def test_exact_matrix_functions_reject_non_finite_entries(fn, args, where, value):
+    # NaN raised a bare ValueError from Fraction and an infinity an OverflowError
+    with pytest.raises(ParameterDomainError) as err:
+        fn(*args(value))
+    assert str(err.value) == f"{where} must be a finite rational, got {value!r}"
+
+
 # -- moment functional --
 
 def test_berg_moments_frozen():
@@ -803,6 +821,11 @@ def test_nu_validation():
     # a default q that underflows to 0 is rejected too
     with pytest.raises(ParameterDomainError, match="q"):
         nu_moments(0, 2, 400.0)
+    # a default q that rounds to -1 or -0 names theta, which the caller gave,
+    # not only the q that the caller did not give
+    for n, theta, q in ((1, 1e-300, "-1.0"), (0, 1e-17, "-1.0"), (0, 400.0, "-0.0")):
+        with pytest.raises(ParameterDomainError, match=f"theta={theta}, .* rounds to {q}$"):
+            nu_moments(n, 2, theta)
     # an explicit q frees theta
     assert nu_moments(1, 2, -0.5, q=0.5).within_bound
 
@@ -886,6 +909,16 @@ def _nu_route_grid():
                         yield n, alpha, theta, q, K
     for q in (-0.5, 0.5):
         yield 6, 2, 0.3, q, 2000
+    # the nu grid of the exact_fib benchmark workload
+    for theta in (0.5, THETA0):
+        for K in (500, 1000):
+            for n in range(7):
+                for alpha in (1, 2):
+                    yield n, alpha, theta, None, K
+    # small |q| at thousands of digits: the inputs are formed far below dps
+    for q in (1e-3, -1e-3):
+        for n, K in ((1, 499), (3, 500)):
+            yield n, 1, 0.7, q, K
 
 
 def test_nu_moments_match_the_two_exponential_route_field_for_field():
@@ -894,6 +927,27 @@ def test_nu_moments_match_the_two_exponential_route_field_for_field():
     for n, alpha, theta, q, K in cases:
         want = _nu_two_exponentials(n, alpha, theta, q, K)
         assert nu_moments(n, alpha, theta, q=q, K=K) == want, (n, alpha, theta, q, K)
+
+
+def test_nu_takes_at_most_one_exponential_at_fifty_digits(monkeypatch):
+    exp = mpmath.exp
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(mpmath.mp.dps)
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "exp", recorded)
+    # e^(-2 theta) at 50 digits although the series runs at 6718 and 9030;
+    # an explicit q with n = 0 reads no exponential at all
+    for n, alpha, theta, q, K, want in (
+        (6, 2, THETA0, None, 2000, [50]),
+        (3, 3, 0.7, 1e-3, 500, [50]),
+        (0, 2, 0.7, 0.5, 9, []),
+    ):
+        calls.clear()
+        nu_moments(n, alpha, theta, q=q, K=K)
+        assert calls == want, (n, alpha, theta, q, K)
 
 
 def test_nu_within_bound_for_non_integer_alpha():

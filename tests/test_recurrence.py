@@ -603,6 +603,10 @@ def test_ismail_theta_parameter_domain():
         make_sequence("ismail-theta", {"theta": 0.6, "alpha": 1.5})
     seq = make_sequence("ismail-theta", {"theta": 0.6})
     assert seq.b(0) > 0.0
+    # a default q = -e^(-2 theta) that rounds to -1 or -0 blamed q, which the caller did not give
+    for theta, q in ((1e-17, "-1.0"), (400.0, "-0.0")):
+        with pytest.raises(ParameterDomainError, match=f"theta={theta}, .* rounds to {q}$"):
+            make_sequence("ismail-theta", {"theta": theta})
 
 
 def test_family_metadata():
