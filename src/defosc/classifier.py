@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import ParameterDomainError, ZeroCoefficientError
+from .errors import ParameterDomainError, ZeroCoefficientError, _count
 from .recurrence import CoefficientSequence
 
 __all__ = [
@@ -95,12 +95,12 @@ class DifferenceTable:
 
 def difference_table(seq: CoefficientSequence, n_max: int, j_max: int) -> DifferenceTable:
     """Build the difference table of b_n^2 up to order j_max."""
-    if j_max < 0:
-        raise ParameterDomainError(f"j_max must be >= 0, got {j_max}")
+    j_max = _count("j_max", j_max, 0)
     if n_max < j_max + 2:
         raise ParameterDomainError(
             f"n_max must be >= j_max + 2, got n_max={n_max}, j_max={j_max}"
         )
+    n_max = _count("n_max", n_max, j_max + 2)
     b_sq = _squares(seq, n_max)
     return DifferenceTable(_rows(b_sq, j_max), max(b_sq))
 
@@ -149,8 +149,7 @@ def classify(
     residuals found are reported.  S = 0, every b_n^2 a zero or an
     underflow, raises ZeroCoefficientError.
     """
-    if n_max < 8:
-        raise ParameterDomainError(f"n_max must be >= 8, got {n_max}")
+    n_max = _count("n_max", n_max, 8)
     if not 0.0 <= tol < math.inf:
         raise ParameterDomainError(f"tol must be finite and >= 0, got {tol}")
     beta0, beta2 = fit_beta(seq)

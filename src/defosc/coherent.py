@@ -31,8 +31,9 @@ from .errors import (
     ParameterDomainError,
     TruncationError,
     ZeroCoefficientError,
+    _count,
 )
-from .oscillator import _xp_products
+from .oscillator import _b_floats, _floats, _xp_products
 from .recurrence import CoefficientSequence
 
 __all__ = [
@@ -121,17 +122,20 @@ def make_state(
     There a tail_bound above tol raises TruncationError carrying a suggested
     dimension, None if the edge bound gives no finite one (unless strict=False,
     which returns the state flagged instead).  In the divergent regime no
-    truncation error is possible: every finite section is exact.  Reads
-    b_0..b_{dim-2} in doubling windows, scanning only each window's new levels
-    and stopping at the first that holds a bad b_k, and b_{dim-1} only when
-    convergent.  The first bad b_k raises even where a higher index in its
-    window fails: ZeroCoefficientError for 0.0, ParameterDomainError for a
-    negative, NaN or infinite b_k (or one whose sqrt(2) b_k overflows), since
-    the canonical gauge has b_n >= 0.  Levels whose amplitude underflows are
-    exact 0j: the phase is raised only over the window of nonzero amplitudes.
+    truncation error is possible: every finite section is exact.  Needs
+    b_0..b_{dim-2} checked, and b_{dim-1} only when convergent.  The sequence
+    keeps the levels that earlier states checked, with the running sum of
+    log(sqrt(2) b_k) over them, so a state reads, checks and sums only the
+    levels past that prefix, in doubling windows, stopping at the first
+    window that holds a bad b_k.  A bad b_k is never kept as checked, so
+    every state that needs it raises, and the first one raises even where a
+    higher index in its window fails: ZeroCoefficientError for 0.0,
+    ParameterDomainError for a negative, NaN or infinite b_k (or one whose
+    sqrt(2) b_k overflows), since the canonical gauge has b_n >= 0.  Levels
+    whose amplitude underflows are exact 0j: the phase is raised only over
+    the window of nonzero amplitudes.
     """
-    if dim < 2:
-        raise DimensionError(f"dim must be >= 2, got {dim}")
+    dim = _count("dim", dim, 2, error=DimensionError)
     if not 0.0 <= tol < math.inf:
         raise ParameterDomainError(f"tol must be finite and >= 0, got {tol}")
     z = complex(z)
@@ -147,17 +151,19 @@ def make_state(
         coeffs[0] = 1.0
         return CoherentState(z, dim, coeffs, 1.0, 0.0, 0.0, True)
 
-    # b_0 .. b_{dim-2} in doubling windows, each checked only on its new levels
-    # before the next is read.  A q-family b_k can underflow to 0 a few hundred
-    # levels in, below the index where its fill stops evaluating and copies
-    # (golden: b_387 = 0, copies from 777); windows keep the levels evaluated
-    # past the zero to about as many again.
-    b = np.empty(dim - 1)
-    count = 0
+    # b_k past the sequence's checked prefix up to b_{dim-2}, in doubling
+    # windows, each checked before the next is read.  A q-family b_k can
+    # underflow to 0 a few hundred levels in, below the index where its fill
+    # stops evaluating and copies (golden: b_387 = 0, copies from 777); windows
+    # keep the levels evaluated past the zero to about as many again.
+    view = _floats(seq)
+    view.b.reserve(dim - 1)  # one buffer for every window below
+    sums = view.log_sums
+    checked = count = sums.size
     while count < dim - 1:
         start, count = count, min(dim - 1, 2 * count + 64)
         try:
-            new = np.fromiter(seq.b_values(count)[start:], float, count - start)
+            new = _b_floats(seq, count)[start:]
             good = new.min() > 0.0 and new.max() <= _B_MAX  # False on a NaN
         except DefoscError:
             good = False
@@ -166,13 +172,18 @@ def make_state(
             # values below its failing index, and reading that index again raises
             for k in range(start, count):
                 _check_level(k, seq.b(k))
-        b[start:count] = new
+    if checked < dim - 1:
+        # cumsum adds in index order, so carrying the last sum into the first
+        # new log gives the floats of one cumsum over the whole prefix
+        logs = np.log(_SQRT2 * _b_floats(seq, dim - 1)[checked:])
+        if checked:
+            logs[0] += sums.head(checked)[-1]
+        sums.extend(np.cumsum(logs, out=logs))
 
-    # log |t_n| for unnormalized amplitudes t_n = |z|^n / prod_{k<n} sqrt2 b_k;
-    # cumsum adds the logs in index order
+    # log |t_n| for unnormalized amplitudes t_n = |z|^n / prod_{k<n} sqrt2 b_k
     logs = np.empty(dim)
     logs[0] = 0.0
-    logs[1:] = np.arange(1, dim) * math.log(abs(z)) - np.cumsum(np.log(_SQRT2 * b))
+    logs[1:] = np.arange(1, dim) * math.log(abs(z)) - sums.head(dim - 1)
 
     shift = float(logs.max())
     scaled = np.exp(logs - shift)  # amplitude scale, max entry 1
@@ -223,8 +234,7 @@ def eigen_residual(state: CoherentState, seq: CoefficientSequence) -> float:
     The last coordinate is excluded: the truncation cannot know c_dim.
     """
     v = state.coeffs
-    b_vals = np.fromiter(seq.b_values(state.dim - 1), float, state.dim - 1)
-    resid = _SQRT2 * b_vals * v[1:] - state.z * v[:-1]
+    resid = _SQRT2 * _b_floats(seq, state.dim - 1) * v[1:] - state.z * v[:-1]
     return float(np.linalg.norm(resid))
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check that raises them."""
+
+import operator
 
 
 class DefoscError(Exception):
@@ -62,3 +64,23 @@ class CalibrationError(DefoscError, ArithmeticError):
 
 class InsufficientMomentsError(DefoscError, ValueError):
     """A moment functional was applied beyond its stored moments."""
+
+
+def _count(
+    name: str, value, low: int, high: int | None = None, error: type = ParameterDomainError
+) -> int:
+    """value as a Python int in low..high (no upper end when high is None).
+
+    A count that is not an integer (2.5, and also 3.0) is rejected here,
+    where it enters, and not later by a shift, a range or a complex power;
+    numpy integers pass.  The error is `error`, ParameterDomainError unless
+    the caller names another (DimensionError for a truncation dimension).
+    """
+    span = f">= {low}" if high is None else f"in {low}..{high}"
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer {span}, got {value!r}") from None
+    if count < low or (high is not None and count > high):
+        raise error(f"{name} must be {span}, got {count}")
+    return count

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -32,6 +31,7 @@ from .errors import (
     InternalConsistencyError,
     ParameterDomainError,
     SingularMatrixError,
+    _count,
 )
 
 __all__ = [
@@ -251,22 +251,6 @@ PHI = GoldenNumber(Fraction(1, 2), Fraction(1, 2))
 # -- Fibonacci numbers ---------------------------------------------------------
 
 
-def _count(name: str, value, low: int, high: int | None = None) -> int:
-    """value as a Python int in low..high (no upper end when high is None).
-
-    A count that is not an integer (2.5, and also 3.0) is rejected here,
-    where it enters, and not later by a shift, a range or a complex power.
-    """
-    span = f">= {low}" if high is None else f"in {low}..{high}"
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise ParameterDomainError(f"{name} must be an integer {span}, got {value!r}") from None
-    if count < low or (high is not None and count > high):
-        raise ParameterDomainError(f"{name} must be {span}, got {count}")
-    return count
-
-
 def _fib_pair(k: int) -> tuple[int, int]:
     """(G_k, G_{k+1}) with G_0 = 0, G_1 = 1, by halving the index."""
     if k == 0:
@@ -428,7 +412,9 @@ def nu_moments(
     (1 - q^alpha) e^{-n theta} / (1 - q^{alpha+n}); tail_bound is the
     geometric bound |1 - q^alpha| e^{-n theta} |q|^{(alpha+n)K} / (1 - |q|^{alpha+n})
     on their true difference.  q defaults to -e^{-2 theta}, which needs
-    theta > 0.
+    theta > 0.  A truncated, closed_form or tail_bound that rounds to +-inf
+    as a float (an explicit q with theta below about -709.8 / n) raises
+    ParameterDomainError naming n and theta.
 
     The series is evaluated in mpmath at a working precision that grows with
     K so that rounding stays below the tail bound, and the K-term partial sum
@@ -502,19 +488,11 @@ def nu_moments(
         tail = abs(mass) * e_nt * abs(step_k) / (1 - abs(step))
         margin = (abs(truncated) + abs(closed)) * mpmath.mpf(10) ** (15 - dps)
         within = bool(abs(truncated - closed) <= tail + margin)
-        return NuMomentResult(
-            n,
-            alpha,
-            theta,
-            float(qv),
-            K,
-            float(truncated),
-            float(closed),
-            float(tail),
-            within,
-            "extended",
-            dps,
-        )
+        fields = float(truncated), float(closed), float(tail)
+    if any(map(math.isinf, fields)):
+        # e^(-n theta) is unbounded in mpmath; only the float fields overflow
+        raise ParameterDomainError(f"nu moment n={n} at theta={theta} overflows a float")
+    return NuMomentResult(n, alpha, theta, float(qv), K, *fields, within, "extended", dps)
 
 
 # -- Filbert matrix and exact inversion ----------------------------------------

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, ParameterDomainError, ZeroCoefficientError
+from .errors import DimensionError, ParameterDomainError, ZeroCoefficientError, _count
 from .recurrence import CoefficientSequence
 
 __all__ = [
@@ -38,6 +39,91 @@ __all__ = [
     "verify_algebra",
     "matrix_to_json",
 ]
+
+
+_NOTHING = np.empty(0)
+_NOTHING.setflags(write=False)
+
+
+class _Column:
+    """A read-only float64 vector that grows only at its end.
+
+    The buffer at least doubles whenever it is replaced, so growing a column
+    to n entries copies O(n) floats in all, however it grows.  It is
+    writeable only while `extend` writes into it, so every slice `head` and
+    `read` hand out is read-only.
+    """
+
+    __slots__ = ("buf", "size")
+
+    def __init__(self):
+        self.buf, self.size = _NOTHING, 0
+
+    def head(self, count: int) -> np.ndarray:
+        """The first count entries, count <= size."""
+        return self.buf[:count]
+
+    def read(self, values: Callable[[int], list[float]], count: int) -> np.ndarray:
+        """The first count entries, converting values(count)[size:] first if short.
+
+        values(count) raises the sequence's error for a level it cannot form,
+        before the column changes.
+        """
+        if self.size < count:
+            self.extend(np.fromiter(values(count)[self.size :], float, count - self.size))
+        return self.buf[:count]
+
+    def extend(self, new: np.ndarray) -> None:
+        size = self.size + len(new)
+        if size > len(self.buf):
+            self.reserve(2 * size)
+        buf = self.buf
+        buf.setflags(write=True)
+        buf[self.size : size] = new
+        buf.setflags(write=False)
+        self.size = size
+
+    def reserve(self, count: int) -> None:
+        """Room for at least count entries, so that growing to count moves none."""
+        if count > len(self.buf):
+            buf = np.empty(max(count, 2 * len(self.buf)))
+            buf[: self.size] = self.buf[: self.size]
+            buf.setflags(write=False)
+            self.buf = buf
+
+
+class _Floats:
+    """The numpy side of one CoefficientSequence, kept in its _floats slot.
+
+    a and b hold a_n and b_n as float64, converted in index order from the
+    sequence's lists; a read of more levels converts only the new ones, so
+    each index is converted once per sequence.  log_sums belongs to
+    coherent.make_state: entry k is the running sum of log(sqrt(2) b_j) over
+    j <= k, kept only for levels whose b_k passed make_state's check, so its
+    size is the checked prefix and a bad b_k is never counted.
+    """
+
+    __slots__ = ("a", "b", "log_sums")
+
+    def __init__(self):
+        self.a, self.b, self.log_sums = _Column(), _Column(), _Column()
+
+
+def _floats(seq: CoefficientSequence) -> _Floats:
+    """The float view of seq, made empty on first use."""
+    if seq._floats is None:
+        seq._floats = _Floats()
+    return seq._floats
+
+
+def _a_floats(seq: CoefficientSequence, count: int) -> np.ndarray:
+    """[a_0, ..., a_{count-1}] as a read-only float64 array."""
+    return _floats(seq).a.read(seq.a_values, count)
+
+
+def _b_floats(seq: CoefficientSequence, count: int) -> np.ndarray:
+    """[b_0, ..., b_{count-1}] as a read-only float64 array."""
+    return _floats(seq).b.read(seq.b_values, count)
 
 
 def _peak(maxima: list) -> float:
@@ -204,8 +290,8 @@ def _xp_products(seq: CoefficientSequence, v: np.ndarray) -> tuple[np.ndarray, .
     bit-identical to the matvec of the built operator.
     """
     dim = len(v)
-    b_vals = np.fromiter(seq.b_values(dim - 1), float, dim - 1)
-    a_vals = np.fromiter(seq.a_values(dim), float, dim)
+    b_vals = _b_floats(seq, dim - 1)
+    a_vals = _a_floats(seq, dim)
     x = {0: a_vals} if a_vals.any() else {}
     p = {}
     if b_vals.any():  # -b_n is nonzero exactly where b_n is
@@ -217,10 +303,9 @@ def _xp_products(seq: CoefficientSequence, v: np.ndarray) -> tuple[np.ndarray, .
 
 def build_operators(seq: CoefficientSequence, dim: int) -> Operators:
     """Assemble X, P, a+-, N, B(N) and H for `seq` truncated at `dim`."""
-    if dim < 2:
-        raise DimensionError(f"dim must be >= 2, got {dim}")
-    b_vals = np.fromiter(seq.b_values(dim - 1), float, dim - 1)
-    a_vals = np.fromiter(seq.a_values(dim), float, dim)
+    dim = _count("dim", dim, 2, error=DimensionError)
+    b_vals = _b_floats(seq, dim - 1)
+    a_vals = _a_floats(seq, dim)
     x = BandMatrix(dim, {0: a_vals, 1: b_vals, -1: b_vals})
     p = BandMatrix(dim, {1: b_vals, -1: -b_vals}, imaginary=True)
     # B's eigenvalues are assembled from the same sqrt(2) b_n products that
@@ -294,8 +379,7 @@ def verify_algebra(seq: CoefficientSequence, dim: int, tol: float = 1e-10) -> Al
     only xp_identity_gap depends on the family.  Every b_n with n < dim - 1
     equal to 0.0 leaves no oscillator to verify and raises ZeroCoefficientError.
     """
-    if dim < 4:
-        raise DimensionError(f"dim must be >= 4, got {dim}")
+    dim = _count("dim", dim, 4, error=DimensionError)
     if not 0.0 <= tol < math.inf:
         raise ParameterDomainError(f"tol must be finite and >= 0, got {tol}")
     ops = build_operators(seq, dim)
@@ -308,7 +392,7 @@ def verify_algebra(seq: CoefficientSequence, dim: int, tol: float = 1e-10) -> Al
     # The target diagonals reuse the same sqrt(2) b_n floats that fill the
     # ladder bands; otherwise the residuals carry eps * b_n^2 rounding noise,
     # which the casimir commutator inflates by another factor b_n.
-    s_vals = np.sqrt(2.0) * np.fromiter(seq.b_values(dim), float, dim)
+    s_vals = np.sqrt(2.0) * _b_floats(seq, dim)
     s_sq = s_vals * s_vals
     # B(N + I) has eigenvalue b_n^2 on psi_n
     b_next = BandMatrix(dim, {0: 0.5 * s_sq})

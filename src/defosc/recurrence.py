@@ -26,6 +26,7 @@ from .errors import (
     ParameterDomainError,
     UnknownFamilyError,
     ZeroCoefficientError,
+    _count,
 )
 
 __all__ = [
@@ -123,6 +124,9 @@ class CoefficientSequence:
     radius_sq is R^2 = lim 2 b_n^2, the radius of convergence in |z|^2 of the
     coherent-state norm series sum_n |z|^{2n} / prod_{k<n} 2 b_k^2; NaN when
     the family does not state it.
+    _floats holds the float64 arrays that the numpy modules derive from these
+    lists (oscillator._floats); it is None until one is first asked for, and
+    this module never reads it.
     """
 
     def __init__(
@@ -140,6 +144,7 @@ class CoefficientSequence:
         self._b_fn = b_fn
         self._a_vals: list[float] = []
         self._b_vals: list[float] = []
+        self._floats = None
 
     def a(self, n: int) -> float:
         if n < 0:
@@ -169,8 +174,7 @@ class CoefficientSequence:
 
     @staticmethod
     def _values(read: Callable[[int], float], vals: list[float], count: int) -> list[float]:
-        if count < 0:
-            raise ParameterDomainError(f"count must be >= 0, got {count}")
+        count = _count("count", count, 0)
         if count:
             read(count - 1)
         return vals[:count]

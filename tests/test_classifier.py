@@ -185,6 +185,24 @@ def test_all_zero_window_has_no_table(family, params):
             difference_table(seq, n_max, j_max)
 
 
+def test_non_integer_counts_are_rejected_where_they_enter():
+    # each was a bare TypeError from range
+    seq = make_sequence("harmonic")
+    with pytest.raises(ParameterDomainError, match=r"^n_max must be an integer >= 8, got 64\.5$"):
+        classify(seq, n_max=64.5)
+    with pytest.raises(ParameterDomainError, match=r"^n_max must be an integer >= 4, got 10\.0$"):
+        difference_table(seq, 10.0, 2)
+    with pytest.raises(ParameterDomainError, match=r"^j_max must be an integer >= 0, got 2\.0$"):
+        difference_table(seq, 10, 2.0)
+    # out-of-range integers keep their messages, and numpy integers pass
+    with pytest.raises(ParameterDomainError, match=r"^n_max must be >= 8, got 7$"):
+        classify(seq, n_max=7)
+    with pytest.raises(ParameterDomainError, match=r"^n_max must be >= j_max \+ 2, got n_max=3, j_max=2$"):
+        difference_table(seq, 3, 2)
+    assert classify(seq, n_max=np.int64(16)).n_max == 16
+    assert len(difference_table(seq, np.int64(10), np.int32(2)).rows) == 3
+
+
 def test_classify_reads_the_window_once():
     # the witness rows were rebuilt by difference_table, a second read and square
     seq = make_sequence("chebyshev-t")

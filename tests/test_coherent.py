@@ -24,7 +24,7 @@ from defosc.coherent import (
     state_to_dict,
     uncertainty,
 )
-from defosc.oscillator import build_operators
+from defosc.oscillator import _a_floats, _b_floats, _floats, build_operators, verify_algebra
 
 
 # -- deformed factorial --
@@ -172,8 +172,12 @@ def test_strict_flag_disables_truncation_error():
 
 def test_make_state_validation():
     seq = make_sequence("harmonic")
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match=r"^dim must be >= 2, got 1$"):
         make_state(seq, 0.5, 1)
+    # a float dim was numpy's "expected a sequence of integers", naming 63.0
+    with pytest.raises(DimensionError, match=r"^dim must be an integer >= 2, got 64\.0$"):
+        make_state(seq, 0.5, 64.0)
+    assert make_state(seq, 0.5, np.int64(8), strict=False).dim == 8
     bad = custom_sequence(lambda n: 0.0 if n == 3 else 1.0)
     with pytest.raises(ZeroCoefficientError):
         make_state(bad, 0.5, 8)
@@ -575,6 +579,136 @@ def test_uncertainty_matches_the_band_matrix_route_on_custom_sequences():
     with np.errstate(over="ignore", invalid="ignore"):
         overflowing = custom_sequence(lambda n: 1.3e154 * (1.0 + 0.5 / (n + 1)))
         assert _assert_uncertainty_matches_band_matrices(overflowing, dims)
+
+
+# -- the float view a sequence keeps --
+
+WARM_DIMS = (64, 1000, 128, 257, 2, 3, 390)
+WARM_ZS = (0.3, -2.5j, 12.0 + 1.0j)
+
+
+def _outcome(fn, *args):
+    """A comparable record of fn(*args): its bits, or its error's type and text."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # the error is the outcome compared
+        return type(exc), str(exc)
+    if hasattr(out, "coeffs"):
+        fields = (out.norm_constant, out.log_norm_constant, out.tail_bound)
+        return out.coeffs.tobytes(), _bits(fields), out.convergent, out.dim
+    if hasattr(out, "hamiltonian"):
+        ops = (out.x, out.p, out.a_plus, out.a_minus, out.n_op, out.b_op, out.hamiltonian)
+        return [sorted((o, v.tobytes()) for o, v in m.bands.items()) for m in ops]
+    if hasattr(out, "to_dict"):
+        return repr(out.to_dict())
+    return _bits(out)
+
+
+def _state_records(seq, dim):
+    records = []
+    for z in WARM_ZS:
+        try:
+            st = make_state(seq, z, dim, strict=False)
+        except (ZeroCoefficientError, NonPositiveDefiniteError) as exc:
+            records.append((type(exc), str(exc)))
+            continue
+        records.append(_outcome(lambda: st))
+        records.append(_outcome(eigen_residual, st, seq))
+        records.append(_outcome(uncertainty, st, seq))
+    records.append(_outcome(build_operators, seq, dim))
+    records.append(_outcome(verify_algebra, seq, dim))
+    return records
+
+
+def _warm_cases():
+    for name in sorted(PIN_FAMILIES):
+        yield pytest.param(lambda name=name: make_sequence(name, PIN_FAMILIES[name]), id=name)
+    yield pytest.param(
+        lambda: custom_sequence(lambda n: math.sqrt(n + 1.0), a_fn=lambda n: 0.5 * (n % 3 - 1)),
+        id="custom-signed-a",
+    )
+    yield pytest.param(lambda: custom_sequence(_b_with({300: 0.0})), id="custom-zero-at-300")
+    yield pytest.param(lambda: custom_sequence(_b_with({700: _RAISE})), id="custom-raise-at-700")
+
+
+@pytest.mark.parametrize("fresh", _warm_cases())
+def test_a_warm_sequence_matches_a_fresh_one_bit_for_bit(fresh):
+    # one sequence read at dims in a mixed order keeps its float view, checked
+    # prefix and log sums; each read must equal that of a never-used sequence
+    warm = fresh()
+    for dim in WARM_DIMS:
+        assert _state_records(warm, dim) == _state_records(fresh(), dim), dim
+
+
+@pytest.mark.parametrize(
+    "seq, k, error",
+    [
+        pytest.param(make_sequence("fibonacci-golden"), 387, ZeroCoefficientError, id="golden"),
+        pytest.param(
+            make_sequence("little-q-jacobi", {"a": 0.5, "b": 0.5, "q": 0.5}),
+            537,
+            ZeroCoefficientError,
+            id="little-q-jacobi",
+        ),
+        pytest.param(custom_sequence(_b_with({100: _RAISE})), 100, NonPositiveDefiniteError, id="custom"),
+    ],
+)
+def test_a_bad_level_raises_on_every_call_and_is_never_kept_as_checked(seq, k, error):
+    messages = []
+    for dim in (4096, k + 2, 4096):
+        with pytest.raises(error, match=f"b_{k}") as exc:
+            make_state(seq, 0.5, dim)
+        messages.append(str(exc.value))
+    assert messages == [messages[0]] * 3
+    # the checked prefix holds no level at or past k
+    assert _floats(seq).log_sums.size <= k
+    # states that stop below k are still built, and the bad level still raises
+    assert make_state(seq, 0.5, k + 1, strict=False).dim == k + 1
+    with pytest.raises(error, match=f"b_{k}"):
+        make_state(seq, 0.5, k + 2)
+
+
+def test_the_float_view_hands_out_read_only_arrays():
+    seq = make_sequence("laguerre", {"alpha": 0.5})
+    st = make_state(seq, 0.5, 64, strict=False)
+    uncertainty(st, seq)
+    view = _floats(seq)
+    early = (_a_floats(seq, 64), _b_floats(seq, 63), view.log_sums.head(63))
+    # each store outgrows the buffer its first read allocated
+    verify_algebra(seq, 1000)
+    make_state(seq, 0.5, 1000, strict=False)
+    late = (_a_floats(seq, 1000), _b_floats(seq, 1000), view.log_sums.head(999))
+    for arr in early + late:
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
+    # growing a store kept the values it held
+    for old, new in zip(early, late):
+        assert old.tobytes() == new[: len(old)].tobytes()
+
+
+def test_each_level_is_converted_once(monkeypatch):
+    converted = []
+    fromiter = np.fromiter
+
+    def counted(*args, **kwargs):
+        out = fromiter(*args, **kwargs)
+        converted.append(len(out))
+        return out
+
+    monkeypatch.setattr(np, "fromiter", counted)
+    seq = make_sequence("harmonic")
+    for dim in (64, 1000, 128, 257, 2, 1000):
+        for z in (0.3, 2.0j):
+            st = make_state(seq, z, dim, strict=False)
+            eigen_residual(st, seq)
+            uncertainty(st, seq)
+        build_operators(seq, dim)
+    verify_algebra(seq, 1000)  # the only reader of b_{dim-1}
+    # b_0 .. b_999 and a_0 .. a_999, each converted once
+    assert sum(converted) == 2000
+    assert _floats(seq).b.size == _floats(seq).a.size == 1000
 
 
 # -- serialization --

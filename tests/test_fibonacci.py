@@ -796,8 +796,11 @@ def test_nu_validation():
         nu_moments(0, 2, 0.5, K=0)
     with pytest.raises(ParameterDomainError, match="K"):
         nu_moments(0, 2, 0.5, K=2.5)  # was a TypeError
-    # e^(-n theta) past the double range is evaluated, not rejected
-    assert nu_moments(1, 2, -800.0, q=0.5, K=4).dps == 50
+    # e^(-n theta) past the double range would make inf float fields
+    for n, theta in ((1, -800.0), (3, -300.0)):
+        with pytest.raises(ParameterDomainError, match=rf"n={n} at theta={theta}.*overflows"):
+            nu_moments(n, 2, theta, q=0.5, K=4)
+    assert math.isfinite(nu_moments(1, 2, -700.0, q=0.5, K=4).truncated)
     with pytest.raises(ParameterDomainError):
         nu_moments(0, 2, math.inf)
     with pytest.raises(ParameterDomainError):

@@ -214,6 +214,19 @@ def test_number_operator_annihilates_ground_state():
     assert ops.n_op.matvec(e0).tolist() == [0.0] * 5
 
 
+def test_non_integer_dim_is_rejected_where_it_enters():
+    # both were a bare TypeError from range
+    seq = make_sequence("harmonic")
+    with pytest.raises(DimensionError, match=r"^dim must be an integer >= 2, got 10\.5$"):
+        build_operators(seq, 10.5)
+    with pytest.raises(DimensionError, match=r"^dim must be an integer >= 4, got 64\.0$"):
+        verify_algebra(seq, 64.0)
+    with pytest.raises(DimensionError, match=r"^dim must be >= 4, got 3$"):
+        verify_algebra(seq, 3)
+    assert build_operators(seq, np.int32(4)).dim == 4
+    assert verify_algebra(seq, np.int64(8)).dim == 8
+
+
 def test_build_operators_rejects_small_dim():
     with pytest.raises(DimensionError, match="dim must be >= 2"):
         build_operators(make_sequence("harmonic"), 1)

@@ -261,6 +261,10 @@ def test_vector_reads_of_count_zero_and_below(name, params):
         for count in (-1, -3):
             with pytest.raises(ParameterDomainError, match=rf"^count must be >= 0, got {count}$"):
                 read(count)
+        # a float count was a bare TypeError from range
+        with pytest.raises(ParameterDomainError, match=r"^count must be an integer >= 0, got 3\.0$"):
+            read(3.0)
+        assert read(np.int64(3)) == read(3)
 
 
 def test_b_squared_is_exact_square():
